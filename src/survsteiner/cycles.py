@@ -1,12 +1,17 @@
 """Minimum Steiner cycles and paths on small multigraphs.
 
-The default engine enumerates simple cycles through the lowest terminal
-depth-first, pruning branches that are already no better than the
-incumbent and branches from which the remaining terminals (or the start)
-can no longer be reached. It is deterministic, has error probability
-zero, and returns the lexicographically smallest edge set among optima.
-Edge weights (positive integers, default one) let the same engine answer
-subdivided-cost questions without materialising subdivision paths.
+The default engine is one depth-first search kernel for both questions.
+A cycle search walks from the lowest terminal back to itself; a path
+search walks from s and closes at t on the graph itself, with no
+auxiliary node. Visited sets and the reachability test are bitmasks over
+per-node neighbour masks. Branches already no better than the incumbent
+are pruned, as are branches from which the remaining terminals or the
+closing node can no longer be reached. The engine is deterministic, has
+error probability zero, and returns the lexicographically smallest edge
+set among optima. Edge weights (positive integers, default one) let it
+answer subdivided-cost questions without materialising subdivision
+paths. The per-(graph, weights) tables (``SearchPrep``) are built once
+and shared by every search on that graph, e.g. by the 2NCS subcall memo.
 
 A plugin slot accepts an external cycle solver honoring the same
 contract; candidates are vetted against the brute-force oracle on a small
@@ -15,8 +20,8 @@ fixed suite before registration succeeds.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,108 +69,120 @@ def _check_terminals(g: Graph, terms: list[int]) -> None:
             raise TerminalMissing(f"terminal {t} is not a node of the graph")
 
 
+class SearchPrep:
+    """Per-(graph, weights) tables of the search kernel.
+
+    ``adj[v]`` lists ``(edge id, other end, weight)`` in incidence order
+    (edge-id order) and ``nbr[v]`` is the bitmask of v's neighbours.
+    Build it once per graph and weight vector and pass it to every
+    search on them; ``weights`` maps edge id to a positive integer,
+    default 1.
+    """
+
+    __slots__ = ("w", "adj", "nbr")
+
+    def __init__(self, g: Graph, weights: dict[int, int] | None = None):
+        self.w = [1] * g.m
+        if weights:
+            for eid, val in weights.items():
+                self.w[eid] = val
+        self.adj = [
+            tuple((eid, g.edges[eid].other(v), self.w[eid]) for eid in g.incident(v))
+            for v in range(g.n)
+        ]
+        self.nbr = [0] * g.n
+        for v, row in enumerate(self.adj):
+            for _, y, _ in row:
+                self.nbr[v] |= 1 << y
+
+
+def _search(
+    prep: SearchPrep, start: int, end: int, need: int, min_nodes: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """The one search kernel: the minimum (weight, sorted edge ids, node
+    order) over simple walks from ``start`` that pass every node of the
+    bitmask ``need`` and close on an edge into ``end``; None if there is
+    none. ``start == end`` asks for a cycle, which is enumerated once by
+    requiring the closing edge id to exceed the opening one; otherwise
+    the walk is an s-t path. Visited sets and reachability are bitmasks.
+
+    A branch is pruned when its weight plus one per still-missing node
+    plus one for closing exceeds the incumbent (strictly, so ties reach
+    the lexicographic comparison), or when the missing nodes or the
+    closing edge can no longer be reached through unvisited nodes.
+    """
+    adj, nbr = prep.adj, prep.nbr
+    closing = nbr[end]
+    cycle = start == end
+    best = None
+    bound = math.inf
+    nodes = [start]
+    eids: list[int] = []
+
+    def reachable(visited: int, head: int) -> bool:
+        missing = need & ~visited
+        reach = frontier = 1 << head
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & ~(visited | reach)
+            reach |= new
+            frontier |= new
+        return bool(reach & closing) and not missing & ~reach
+
+    def dfs(head: int, visited: int, acc: int, first: int) -> None:
+        nonlocal best, bound
+        for eid, y, wt in adj[head]:
+            if y == end:
+                if cycle and (eid <= first or len(nodes) < min_nodes):
+                    continue
+                total = acc + wt
+                if total > bound or need & ~visited:
+                    continue
+                key = tuple(sorted(eids + [eid]))
+                if best is None or (total, key) < best[:2]:
+                    best = (total, key, tuple(nodes))
+                    bound = total
+            elif not visited >> y & 1:
+                acc2 = acc + wt
+                seen = visited | 1 << y
+                if acc2 + (need & ~seen).bit_count() + 1 > bound:
+                    continue
+                nodes.append(y)
+                eids.append(eid)
+                if reachable(seen, y):
+                    dfs(y, seen, acc2, eid if first < 0 else first)
+                nodes.pop()
+                eids.pop()
+
+    dfs(start, 1 << start | 1 << end, 0, -1)
+    return best
+
+
 def search_min_cycle(
     g: Graph,
     terminals: Iterable[int],
     weights: dict[int, int] | None = None,
     min_nodes: int = 2,
     threads: int = 1,
+    *,
+    prep: SearchPrep | None = None,
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Exhaustive core: (total weight, sorted edge ids, node order).
 
     Enumerates every simple cycle through the smallest terminal once
     (direction canonicalised by requiring the closing edge id to exceed
     the opening edge id) and keeps the minimum by (weight, edge-id tuple).
-    ``weights`` maps edge id to a positive integer, default 1. Cycles with
-    fewer than ``min_nodes`` nodes are rejected. Raises NoCycle.
+    ``weights`` maps edge id to a positive integer, default 1; ``prep``,
+    if given, is the shared ``SearchPrep`` of ``g`` and those weights and
+    replaces them. Cycles with fewer than ``min_nodes`` nodes are
+    rejected. ``threads`` is accepted and ignored: the search runs on the
+    calling thread. Raises NoCycle.
     """
     terms = sorted(set(terminals))
     _check_terminals(g, terms)
-    w = [1] * g.m
-    if weights:
-        for eid, val in weights.items():
-            w[eid] = val
-    s = terms[0]
-    adj: list[list[tuple[int, int]]] = [
-        [(eid, g.edges[eid].other(v)) for eid in g.incident(v)] for v in range(g.n)
-    ]
-
-    def run(first_choices: list[tuple[int, int]]):
-        best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-        visited = bytearray(g.n)
-        visited[s] = 1
-        path_nodes = [s]
-        path_eids: list[int] = []
-
-        def reachable_ok(head: int) -> bool:
-            # optimistic check: can we still close at s and pick up every
-            # remaining terminal through unvisited nodes?
-            reach = {head}
-            stack = [head]
-            can_close = False
-            while stack:
-                x = stack.pop()
-                for _, y in adj[x]:
-                    if y == s:
-                        can_close = True
-                    elif not visited[y] and y not in reach:
-                        reach.add(y)
-                        stack.append(y)
-            if not can_close:
-                return False
-            return all(visited[t] or t in reach for t in terms)
-
-        def dfs(head: int, acc: int, first_eid: int) -> None:
-            nonlocal best
-            for eid, y in adj[head]:
-                if y == s:
-                    if eid <= first_eid:
-                        continue
-                    if len(path_nodes) < min_nodes:
-                        continue
-                    if any(not visited[t] for t in terms):
-                        continue
-                    total = acc + w[eid]
-                    edges = tuple(sorted(path_eids + [eid]))
-                    if best is None or (total, edges) < (best[0], best[1]):
-                        best = (total, edges, tuple(path_nodes))
-                elif not visited[y]:
-                    acc2 = acc + w[eid]
-                    rem = sum(1 for t in terms if not visited[t] and t != y)
-                    if best is not None and acc2 + rem + 1 > best[0]:
-                        continue
-                    visited[y] = 1
-                    path_nodes.append(y)
-                    path_eids.append(eid)
-                    if reachable_ok(y):
-                        dfs(y, acc2, first_eid)
-                    path_nodes.pop()
-                    path_eids.pop()
-                    visited[y] = 0
-            return
-
-        for eid, x in first_choices:
-            visited[x] = 1
-            path_nodes.append(x)
-            path_eids.append(eid)
-            if reachable_ok(x):
-                dfs(x, w[eid], eid)
-            path_nodes.pop()
-            path_eids.pop()
-            visited[x] = 0
-        return best
-
-    first = list(adj[s])
-    if threads <= 1 or len(first) <= 1:
-        best = run(first)
-    else:
-        chunks = [first[i::threads] for i in range(threads) if first[i::threads]]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(run, chunks))
-        best = None
-        for res in results:
-            if res is not None and (best is None or res[:2] < best[:2]):
-                best = res
+    prep = prep or SearchPrep(g, weights)
+    best = _search(prep, terms[0], terms[0], sum(1 << v for v in terms), min_nodes)
     if best is None:
         raise NoCycle("no simple cycle contains all the terminals")
     return best
@@ -285,29 +302,25 @@ def search_min_path(
     t: int,
     weights: dict[int, int] | None = None,
     threads: int = 1,
+    *,
+    prep: SearchPrep | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Weighted core of the path solver: (total weight, sorted edge ids).
 
-    Adds an auxiliary node joined to s and t by unit edges, finds the
-    minimum Steiner cycle through terminals plus {aux, s, t}, and deletes
-    the auxiliary node again. Raises NoPath.
+    Runs the cycle kernel in its s-t mode on ``g`` itself: the walk
+    starts at s and closes on reaching t, so ties break to the
+    lexicographically smallest edge set as for cycles. ``weights``,
+    ``prep`` and ``threads`` are as in ``search_min_cycle``. Raises NoPath.
     """
     if s == t:
         raise ValueError("path endpoints must be distinct")
-    _check_terminals(g, sorted(set(terminals) | {s, t}))
-    aux = g.n
-    g2 = g.extended(1, [(s, aux), (t, aux)])
-    w2 = dict(weights) if weights else {}
-    w2[g.m] = 1
-    w2[g.m + 1] = 1
-    try:
-        total, eids, _ = search_min_cycle(
-            g2, set(terminals) | {aux, s, t}, weights=w2, threads=threads
-        )
-    except NoCycle:
-        raise NoPath(f"no simple {s}-{t} path covers the terminals") from None
-    kept = tuple(eid for eid in eids if eid < g.m)
-    return total - 2, kept
+    terms = set(terminals)
+    _check_terminals(g, sorted(terms | {s, t}))
+    prep = prep or SearchPrep(g, weights)
+    best = _search(prep, s, t, sum(1 << v for v in terms), 0)
+    if best is None:
+        raise NoPath(f"no simple {s}-{t} path covers the terminals")
+    return best[0], best[1]
 
 
 def path_node_order(g: Graph, edges: Iterable[int], s: int, t: int) -> tuple[int, ...]:

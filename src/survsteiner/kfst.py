@@ -552,7 +552,7 @@ def _kfst_core(
             if outcome is None:
                 continue
             weight_total, cand = outcome
-            if weight_total <= incumbent.weight and _survives(g2, cand, term_set):
+            if incumbent.beats(weight_total, cand) and _survives(g2, cand, term_set):
                 if incumbent.offer(weight_total, cand):
                     stats.updates.append((item[1], weight_total))
         if mode == "fast" and incumbent.weight <= lower_bound:

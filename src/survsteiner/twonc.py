@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .cycles import (
     CycleSolverParams,
+    SearchPrep,
     SolverKind,
     min_steiner_cycle,
     min_steiner_path,
@@ -75,7 +76,8 @@ _MISS = object()
 
 
 class _Subcalls:
-    """Memoized cycle/path subcalls over one graph and weight vector."""
+    """Memoized cycle/path subcalls over one graph and weight vector; all
+    of them share one ``SearchPrep`` of the search kernel's tables."""
 
     def __init__(
         self,
@@ -86,11 +88,8 @@ class _Subcalls:
         stats: SolveStats,
     ):
         self.g = g
-        self.w = [1] * g.m
-        if weights:
-            for eid, val in weights.items():
-                self.w[eid] = val
-        self.weights = weights
+        self.prep = SearchPrep(g, weights)
+        self.w = self.prep.w
         self.params = params
         self.eta_per_call = eta_per_call
         self.stats = stats
@@ -125,13 +124,13 @@ class _Subcalls:
                 if len(subgraph_nodes(self.g, edges)) < 3:
                     # the target subgraph needs >= 3 nodes; redo exhaustively
                     _, eids, _ = search_min_cycle(
-                        self.g, part, weights=self.weights, min_nodes=3
+                        self.g, part, min_nodes=3, prep=self.prep
                     )
                     edges = frozenset(eids)
                 result = (self._weigh(edges), edges)
             else:
                 total, eids, _ = search_min_cycle(
-                    self.g, part, weights=self.weights, min_nodes=3
+                    self.g, part, min_nodes=3, prep=self.prep
                 )
                 result = (total, frozenset(eids))
             self.stats.count("cycle_calls")
@@ -153,7 +152,7 @@ class _Subcalls:
                 sol = min_steiner_path(self.g, part, s, t, plug)
                 result = (self._weigh(sol.edges), sol.edges)
             else:
-                total, eids = search_min_path(self.g, part, s, t, weights=self.weights)
+                total, eids = search_min_path(self.g, part, s, t, prep=self.prep)
                 result = (total, frozenset(eids))
             self.stats.count("path_calls")
         except (NoPath, SubcallFailed):
@@ -198,6 +197,13 @@ class _Incumbent:
         self.key = tuple(sorted(edges))
         self.edges = edges
         self.lock = threading.Lock()
+
+    def beats(self, weight: int, edges: frozenset[int]) -> bool:
+        """Would ``offer`` accept this candidate now? The register only
+        decreases, so a feasibility test is needed only where this holds."""
+        key = tuple(sorted(edges))
+        with self.lock:
+            return (weight, key) < (self.weight, self.key)
 
     def offer(self, weight: int, edges: frozenset[int]) -> bool:
         key = tuple(sorted(edges))
@@ -284,7 +290,7 @@ def _solve_core(
                     done = 0
                     if idx == len(dims):
                         # feasibility is only ever tested on would-be updates
-                        if weight <= incumbent.weight and feasible(union):
+                        if incumbent.beats(weight, union) and feasible(union):
                             if incumbent.offer(weight, union):
                                 updates.append((subset_index, weight))
                                 if mode == "fast" and weight <= lower_bound:

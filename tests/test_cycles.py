@@ -1,5 +1,6 @@
 """Minimum Steiner cycles and paths against the brute-force reference."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from survsteiner import (
     oracle_min_subgraph,
     subgraph_nodes,
 )
+from survsteiner.cycles import search_min_cycle, search_min_path
 
 
 def triangle():
@@ -42,6 +44,27 @@ def random_connected(rng, n_max=8):
     for u, v in pairs[: rng.randrange(0, n)]:
         specs.append((u, v, 1, True))
     return Graph.build(n, specs)
+
+
+def weighted_multigraph(rng):
+    """Small random graph plus two parallel copies, weights 1-4."""
+    base = random_connected(rng, n_max=6)
+    specs = [(e.u, e.v) for e in base.edges]
+    specs += [(e.u, e.v) for e in rng.sample(base.edges, min(2, base.m))]
+    g = Graph.build(base.n, specs)
+    return g, {eid: rng.randint(1, 4) for eid in g.edge_ids()}
+
+
+def brute_force_shapes(g, weights):
+    """(weight, sorted edge tuple) and degree map of every connected edge
+    subset with all degrees <= 2: every simple path and cycle."""
+    shapes = []
+    for r in range(1, g.m + 1):
+        for combo in itertools.combinations(g.edge_ids(), r):
+            deg = degrees(g, combo)
+            if max(deg.values()) <= 2 and is_connected(g, combo):
+                shapes.append(((sum(weights[e] for e in combo), combo), deg))
+    return shapes
 
 
 def assert_simple_cycle(g, edges, terminals):
@@ -97,6 +120,29 @@ class TestMinSteinerCycle:
             assert sol is not None
             assert sol.size == ref.size
             assert_simple_cycle(g, sol.edges, terms)
+
+        # exact tie-broken answers on a weighted multigraph, for every
+        # terminal set of up to three nodes
+        wg, weights = weighted_multigraph(rng)
+        shapes = brute_force_shapes(wg, weights)
+        min_nodes = 2 + seed % 2
+        for r in (1, 2, 3):
+            for wterms in itertools.combinations(range(wg.n), r):
+                expect = min(
+                    (
+                        key
+                        for key, deg in shapes
+                        if len(deg) >= min_nodes
+                        and set(wterms) <= deg.keys()
+                        and min(deg.values()) == 2
+                    ),
+                    default=None,
+                )
+                try:
+                    got = search_min_cycle(wg, wterms, weights, min_nodes=min_nodes)
+                except NoCycle:
+                    got = None
+                assert (got and got[:2]) == expect, (wterms, min_nodes)
 
     def test_threads_do_not_change_the_answer(self):
         rng = random.Random(99)
@@ -176,3 +222,27 @@ class TestMinSteinerPath:
             assert sol is None
         else:
             assert sol is not None and sol.size == best
+
+        # exact tie-broken answers on a weighted multigraph, for every
+        # ordered endpoint pair (most start at no smallest terminal) and
+        # terminal sets of size zero to two
+        wg, weights = weighted_multigraph(rng)
+        shapes = brute_force_shapes(wg, weights)
+        extra = rng.sample(range(wg.n), 2)
+        for s, t in itertools.permutations(range(wg.n), 2):
+            for wterms in ((), (extra[0],), tuple(extra)):
+                expect = min(
+                    (
+                        key
+                        for key, deg in shapes
+                        if deg.get(s) == 1
+                        and deg.get(t) == 1
+                        and set(wterms) <= deg.keys()
+                    ),
+                    default=None,
+                )
+                try:
+                    got = search_min_path(wg, wterms, s, t, weights)
+                except NoPath:
+                    got = None
+                assert got == expect, (s, t, wterms)
