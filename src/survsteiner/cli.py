@@ -9,12 +9,12 @@ refusal, 64 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 import time
 from fractions import Fraction
 
-from .cycles import CycleSolverParams, min_steiner_cycle
+from .cycles import min_steiner_cycle
 from .errors import (
     BudgetExceeded,
     Infeasible,
@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     SpecInfeasible,
 )
-from .graph import Graph, exact_fraction
+from .graph import Graph
 from .instance_io import (
     cost_text,
     generate_instance,
@@ -44,15 +44,6 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
 _INFEASIBLE = (Infeasible, NoCycle, NoPath, NoProtectedPath)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("SURVSTEINER_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -78,8 +69,8 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
         type=_fraction_arg,
         default=Fraction(1, 100),
         metavar="ETA",
-        help="failure budget handed to plugin subsolvers (default 0.01; the "
-        "built-in engine is deterministic and never spends it)",
+        help="failure budget, recorded in the report (default 0.01; the "
+        "engine is deterministic and never spends it)",
     )
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
     sub.add_argument(
@@ -91,8 +82,9 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
-        help="worker threads (default: SURVSTEINER_THREADS or 1)",
+        default=1,
+        help="thread count, recorded in the report (default 1; the solvers "
+        "run on one thread, so it never changes answers, counts or speed)",
     )
     sub.add_argument(
         "--oracle-check",
@@ -101,7 +93,9 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="survsteiner",
         description="Minimum survivable Steiner subgraphs: cycles, "
@@ -163,13 +157,11 @@ def _dispatch(
 ) -> Solution:
     eta = args.eta
     seed = args.seed
-    params = CycleSolverParams(eta=eta, seed=seed, threads=args.threads)
     if kind is ProblemKind.CYCLE:
         if epsilon is None:
-            stats.eta = exact_fraction(eta)
-            return min_steiner_cycle(g, sorted(terminals), params)
+            return min_steiner_cycle(g, sorted(terminals))
         return weighted_steiner_cycle(
-            g, sorted(terminals), epsilon, eta, seed, params=params, stats=stats
+            g, sorted(terminals), epsilon, eta, seed, stats=stats
         )
     if kind is ProblemKind.TWO_NCS:
         if epsilon is None:
@@ -253,7 +245,7 @@ def _run_solve(args) -> int:
     if epsilon is None and not _uniform_costs(g):
         epsilon = Fraction(1, 10)
 
-    stats = SolveStats(seed=args.seed, threads=args.threads)
+    stats = SolveStats(seed=args.seed, eta=args.eta, threads=args.threads)
     started = time.perf_counter()
     try:
         sol = _dispatch(kind, g, inst.terminals, epsilon, args, stats)

@@ -1,6 +1,6 @@
 """Minimum Steiner cycles and paths on small multigraphs.
 
-The default engine is one depth-first search kernel for both questions.
+The engine is one depth-first search kernel for both questions.
 A cycle search walks from the lowest terminal back to itself; a path
 search walks from s and closes at t on the graph itself, with no
 auxiliary node. Visited sets and the reachability test are bitmasks over
@@ -12,42 +12,31 @@ set among optima. Edge weights (positive integers, default one) let it
 answer subdivided-cost questions without materialising subdivision
 paths. The per-(graph, weights) tables (``SearchPrep``) are built once
 and shared by every search on that graph, e.g. by the 2NCS subcall memo.
-
-A plugin slot accepts an external cycle solver honoring the same
-contract; candidates are vetted against the brute-force oracle on a small
-fixed suite before registration succeeds.
+Every search runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .errors import NoCycle, NoPath, SubcallFailed, TerminalMissing
+from .errors import NoCycle, NoPath, TerminalMissing
 from .graph import Graph, exact_fraction
 from .solution import Solution
 
 
-class SolverKind(Enum):
-    EXHAUSTIVE = "exhaustive"
-    PLUGIN = "plugin"
-
-
 @dataclass(frozen=True)
 class CycleSolverParams:
-    """Failure budget, seed, and engine choice for cycle searches.
+    """Failure budget, seed, and thread count of a cycle search.
 
-    The exhaustive engine ignores eta and seed (it cannot fail); both are
-    threaded through for plugin engines and for report bookkeeping.
+    All three are validated and otherwise unused: the engine is
+    deterministic, cannot fail, and runs on the calling thread.
     """
 
     eta: Fraction = Fraction(1, 100)
     seed: int = 0
-    solver_kind: SolverKind = SolverKind.EXHAUSTIVE
-    plugin: str | None = None
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -57,8 +46,6 @@ class CycleSolverParams:
             raise ValueError("eta must be in (0, 1]")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.solver_kind is SolverKind.PLUGIN and not self.plugin:
-            raise ValueError("plugin solver kind needs a plugin name")
 
 
 def _check_terminals(g: Graph, terms: list[int]) -> None:
@@ -164,7 +151,6 @@ def search_min_cycle(
     terminals: Iterable[int],
     weights: dict[int, int] | None = None,
     min_nodes: int = 2,
-    threads: int = 1,
     *,
     prep: SearchPrep | None = None,
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -176,8 +162,7 @@ def search_min_cycle(
     ``weights`` maps edge id to a positive integer, default 1; ``prep``,
     if given, is the shared ``SearchPrep`` of ``g`` and those weights and
     replaces them. Cycles with fewer than ``min_nodes`` nodes are
-    rejected. ``threads`` is accepted and ignored: the search runs on the
-    calling thread. Raises NoCycle.
+    rejected. Raises NoCycle.
     """
     terms = sorted(set(terminals))
     _check_terminals(g, terms)
@@ -219,74 +204,14 @@ def cycle_node_order(g: Graph, edges: Iterable[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-_PLUGINS: dict[str, Callable] = {}
-
-
-def _conformance_suite() -> list[tuple[Graph, set[int], int | None]]:
-    triangle = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
-    k4 = Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    c5 = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    star = Graph.build(4, [(0, 1), (0, 2), (0, 3)])
-    return [
-        (triangle, {0, 1, 2}, 3),
-        (k4, {0, 1, 2}, 3),
-        (c5, {0, 2, 4}, 5),
-        (star, {1, 2, 3}, None),
-    ]
-
-
-def register_cycle_solver(name: str, fn: Callable) -> None:
-    """Register an external cycle solver after a conformance check.
-
-    ``fn(g, terminals, eta, seed) -> iterable of edge ids`` must return a
-    minimum Steiner cycle or raise NoCycle. It is exercised on a fixed
-    small suite with seeds 0..2; any wrong answer aborts registration.
-    """
-    for g, terms, opt_size in _conformance_suite():
-        for seed in range(3):
-            try:
-                out = frozenset(fn(g, set(terms), Fraction(1, 1000), seed))
-            except NoCycle:
-                if opt_size is None:
-                    continue
-                raise ValueError(f"plugin {name!r} missed an existing cycle") from None
-            if opt_size is None:
-                raise ValueError(f"plugin {name!r} invented a cycle in an acyclic case")
-            if len(out) != opt_size:
-                raise ValueError(
-                    f"plugin {name!r} returned size {len(out)}, expected {opt_size}"
-                )
-    _PLUGINS[name] = fn
-
-
 def min_steiner_cycle(
     g: Graph, terminals: Iterable[int], params: CycleSolverParams | None = None
 ) -> Solution:
-    """Minimum-size simple cycle through all terminals.
-
-    The exhaustive engine always returns a true optimum; a plugin engine
-    is trusted up to its eta and its output is structurally re-checked.
+    """Minimum-size simple cycle through all terminals: always a true
+    optimum. ``params`` never changes the answer (see CycleSolverParams).
     Raises NoCycle when no simple cycle spans the terminals.
     """
-    params = params or CycleSolverParams()
-    if params.solver_kind is SolverKind.PLUGIN:
-        try:
-            fn = _PLUGINS[params.plugin]
-        except KeyError:
-            raise ValueError(f"no plugin named {params.plugin!r} is registered") from None
-        edges = frozenset(fn(g, set(terminals), params.eta, params.seed))
-        try:
-            nodes = cycle_node_order(g, edges)
-        except ValueError as exc:
-            raise SubcallFailed(f"plugin cycle is not a simple cycle: {exc}") from None
-        if not set(terminals) <= set(nodes):
-            raise SubcallFailed("plugin cycle misses a terminal")
-        return Solution(
-            edges=edges,
-            cost=g.total_cost(edges),
-            certificate={"kind": "cycle", "nodes": list(nodes)},
-        )
-    _, eids, node_order = search_min_cycle(g, terminals, threads=params.threads)
+    _, eids, node_order = search_min_cycle(g, terminals)
     edges = frozenset(eids)
     return Solution(
         edges=edges,
@@ -301,7 +226,6 @@ def search_min_path(
     s: int,
     t: int,
     weights: dict[int, int] | None = None,
-    threads: int = 1,
     *,
     prep: SearchPrep | None = None,
 ) -> tuple[int, tuple[int, ...]]:
@@ -309,8 +233,8 @@ def search_min_path(
 
     Runs the cycle kernel in its s-t mode on ``g`` itself: the walk
     starts at s and closes on reaching t, so ties break to the
-    lexicographically smallest edge set as for cycles. ``weights``,
-    ``prep`` and ``threads`` are as in ``search_min_cycle``. Raises NoPath.
+    lexicographically smallest edge set as for cycles. ``weights`` and
+    ``prep`` are as in ``search_min_cycle``. Raises NoPath.
     """
     if s == t:
         raise ValueError("path endpoints must be distinct")
@@ -354,26 +278,9 @@ def min_steiner_path(
     t: int,
     params: CycleSolverParams | None = None,
 ) -> Solution:
-    """Minimum-size simple s,t-path through all terminals; raises NoPath."""
-    params = params or CycleSolverParams()
-    if params.solver_kind is SolverKind.PLUGIN:
-        aux = g.n
-        g2 = g.extended(1, [(s, aux), (t, aux)])
-        try:
-            sol = min_steiner_cycle(g2, set(terminals) | {aux, s, t}, params)
-        except NoCycle:
-            raise NoPath(f"no simple {s}-{t} path covers the terminals") from None
-        kept = frozenset(eid for eid in sol.edges if eid < g.m)
-        try:
-            nodes = path_node_order(g, kept, s, t)
-        except ValueError as exc:
-            raise SubcallFailed(f"plugin path is not a simple path: {exc}") from None
-        return Solution(
-            edges=kept,
-            cost=g.total_cost(kept),
-            certificate={"kind": "path", "nodes": list(nodes)},
-        )
-    _, eids = search_min_path(g, terminals, s, t, threads=params.threads)
+    """Minimum-size simple s,t-path through all terminals; raises NoPath.
+    ``params`` never changes the answer (see CycleSolverParams)."""
+    _, eids = search_min_path(g, terminals, s, t)
     edges = frozenset(eids)
     return Solution(
         edges=edges,

@@ -16,20 +16,16 @@ tree over 1-protected paths: connections that themselves survive any
 single unsafe failure, i.e. chains of safe edges and two-edge-disjoint
 path pairs. The cheapest feasible assembly over all families wins.
 
-The family loop runs in deterministic batches; extra threads speed up
-the protected-path table and the inner subgraph searches without
-changing which candidates are compared, so results never depend on the
-thread count.
+Families are evaluated in order of a cheap bound, in batches of fixed
+size, on the calling thread.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cycles import CycleSolverParams, SolverKind
 from .errors import (
     AlreadyModified,
     Infeasible,
@@ -42,7 +38,11 @@ from .scaling import build_scaling_gadget, prefix_feasible, record_gadget
 from .solution import ProblemKind, Solution, SolveStats
 from .twonc import _Incumbent, _solve_core, _Subcalls
 
-_BATCH = 32  # family-loop batch size; fixed so thread count cannot change results
+# Families are pruned against the incumbent only at batch starts.
+# ``family_bound`` is not admissible (ROADMAP item C): pruning item by
+# item would skip families that are evaluated now and can change which
+# edge set wins a tie, so the batch size is part of the answer.
+_BATCH = 32
 _MISS = object()
 
 
@@ -167,7 +167,7 @@ def _two_disjoint_paths(
 
 
 def _protected_arcs(
-    g: Graph, w: list[int], threads: int = 1
+    g: Graph, w: list[int]
 ) -> dict[tuple[int, int], tuple[int, frozenset[int]]]:
     """Single-segment protections per node pair (a < b).
 
@@ -186,17 +186,8 @@ def _protected_arcs(
         if old is None or (cand[0], sorted(cand[1])) < (old[0], sorted(old[1])):
             arcs[key] = cand
 
-    pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
-
-    def work(pair: tuple[int, int]):
-        return pair, _two_disjoint_paths(g, pair[0], pair[1], w)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
-    for pair, got in results:
+    for pair in itertools.combinations(range(g.n), 2):
+        got = _two_disjoint_paths(g, pair[0], pair[1], w)
         if got is None:
             continue
         old = arcs.get(pair)
@@ -229,11 +220,11 @@ class ProtectedPathTable:
 
 
 def build_protected_table(
-    g: Graph, weights: list[int] | None = None, threads: int = 1
+    g: Graph, weights: list[int] | None = None
 ) -> ProtectedPathTable:
     """Floyd-Warshall over single-segment protections."""
     w = weights if weights is not None else [1] * g.m
-    arcs = _protected_arcs(g, w, threads)
+    arcs = _protected_arcs(g, w)
     n = g.n
     dist: list[list[int | None]] = [[None] * n for _ in range(n)]
     pay: list[list[frozenset[int] | None]] = [[None] * n for _ in range(n)]
@@ -419,11 +410,7 @@ def _kfst_core(
     inst: FstInstance,
     *,
     weights: dict[int, int] | None = None,
-    eta=Fraction(1, 100),
     mode: str = "audit",
-    threads: int = 1,
-    params: CycleSolverParams | None = None,
-    node_universe=None,
     stats: SolveStats | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Shared search; returns (weight, edge set) in original edge ids
@@ -433,7 +420,6 @@ def _kfst_core(
     if mode not in ("audit", "fast"):
         raise ValueError("mode must be 'audit' or 'fast'")
     stats = stats if stats is not None else SolveStats()
-    eta = exact_fraction(eta)
     terms = sorted(inst.terminals)
     k = len(terms)
     if k < 2:
@@ -446,7 +432,7 @@ def _kfst_core(
 
     if k == 2:
         # two terminals make the whole problem one 1-protected path
-        table = build_protected_table(g0, w0, threads)
+        table = build_protected_table(g0, w0)
         found = table.path(terms[0], terms[1])
         if found is None:
             raise Infeasible("no 1-protected path joins the two terminals")
@@ -459,11 +445,10 @@ def _kfst_core(
     if not prefix_feasible(g2, t2, ProblemKind.KFST, list(g2.edge_ids())):
         raise Infeasible("no subgraph connects the terminals through every failure")
     w2 = w0 + [1] * k  # pendant edges weigh one unit each
-    stats.eta_per_call = eta / k
 
-    table = build_protected_table(g2, w2, threads)
+    table = build_protected_table(g2, w2)
     stats.count("protected_pairs", len(table.weight))
-    universe = sorted(node_universe) if node_universe is not None else list(range(g0.n))
+    universe = list(range(g0.n))
 
     full = frozenset(g2.edge_ids())
     incumbent = _Incumbent(sum(w2), full)
@@ -471,15 +456,17 @@ def _kfst_core(
     term_set = set(t2)
 
     twonc_memo: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
-    small_parts = _Subcalls(g0, weights, params, eta / k, stats)
+    small_parts = _Subcalls(g0, weights, stats)
 
     def twonc_edges(part: frozenset[int]) -> tuple[int, frozenset[int]] | None:
         hit = twonc_memo.get(part, _MISS)
         if hit is not _MISS:
             return hit
         if len(part) <= 3:
-            # up to three nodes of any 2-connected subgraph share a cycle,
-            # so the minimum 2-node-connected container is a minimum cycle
+            # A part of at most three nodes is priced by its minimum Steiner
+            # cycle, and a part with no such cycle is skipped. That is not
+            # always the minimum 2-node-connected container: the three
+            # degree-2 nodes of K_{2,3} share no cycle (ROADMAP item C).
             got = small_parts.cycle(part)
         else:
             scratch = SolveStats()
@@ -489,10 +476,6 @@ def _kfst_core(
                     part,
                     weights=weights,
                     mode="fast",
-                    threads=threads,
-                    params=params,
-                    marker_universe=universe,
-                    eta=eta / k,
                     stats=scratch,
                 )
             except Infeasible:
@@ -542,13 +525,10 @@ def _kfst_core(
         batch = bounded[pos : pos + _BATCH]
         pos += _BATCH
         floor_now = incumbent.weight
-        todo = [item for item in batch if item[0] <= floor_now]
-        if threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(evaluate, todo))
-        else:
-            outcomes = [evaluate(item) for item in todo]
-        for item, outcome in zip(todo, outcomes):
+        for item in batch:
+            if item[0] > floor_now:
+                continue
+            outcome = evaluate(item)
             if outcome is None:
                 continue
             weight_total, cand = outcome
@@ -577,24 +557,16 @@ def solve_kfst_unweighted(
     *,
     mode: str = "audit",
     threads: int = 1,
-    params: CycleSolverParams | None = None,
     stats: SolveStats | None = None,
 ) -> Solution:
     """Minimum-size edge set that keeps the terminals connected through
-    any single unsafe-edge failure. Deterministic with the built-in
-    engine; eta is split over the inner subgraph searches in plugin mode."""
+    any single unsafe-edge failure. Deterministic; ``eta``, ``seed`` and
+    ``threads`` are only recorded in ``stats``."""
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
     stats.eta = exact_fraction(eta)
     stats.threads = threads
-    _, edges = _kfst_core(
-        inst,
-        eta=eta,
-        mode=mode,
-        threads=threads,
-        params=params,
-        stats=stats,
-    )
+    _, edges = _kfst_core(inst, mode=mode, stats=stats)
     return Solution(edges=edges, cost=inst.graph.total_cost(edges))
 
 
@@ -606,7 +578,6 @@ def solve_kfst_weighted(
     *,
     mode: str = "audit",
     threads: int = 1,
-    params: CycleSolverParams | None = None,
     stats: SolveStats | None = None,
 ) -> Solution:
     """(1+eps)-approximate minimum-cost survivable connection.
@@ -614,45 +585,28 @@ def solve_kfst_weighted(
     Rounds costs through the scaling gadget (subdivided edges inherit
     safety, so a chain stands in for its unsafe original both ways),
     solves one unweighted instance on the folded view, and maps back.
+    ``eta``, ``seed`` and ``threads`` are only recorded in ``stats``.
     """
     if inst.modified:
         raise AlreadyModified("pass the unmodified instance")
     eps = exact_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    eta = exact_fraction(eta)
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
     stats.epsilon = eps
+    stats.eta = exact_fraction(eta)
     stats.threads = threads
-    gadget = build_scaling_gadget(
-        inst.graph, inst.terminals, eps, eta / 2, ProblemKind.KFST
-    )
+    gadget = build_scaling_gadget(inst.graph, inst.terminals, eps, ProblemKind.KFST)
     record_gadget(stats, gadget)
-    if params is not None and params.solver_kind is SolverKind.PLUGIN:
-        sub_inst = FstInstance(gadget.subdivided_graph, inst.terminals)
-        _, sub_edges = _kfst_core(
-            sub_inst,
-            eta=eta / 2,
-            mode=mode,
-            threads=threads,
-            params=params,
-            node_universe=range(inst.graph.n),
-            stats=stats,
-        )
-        edges = gadget.map_back(sub_edges)
-    else:
-        fold_inst = FstInstance(gadget.folded_graph, inst.terminals)
-        _, folded = _kfst_core(
-            fold_inst,
-            weights=gadget.fold_weights(),
-            eta=eta / 2,
-            mode=mode,
-            threads=threads,
-            params=params,
-            stats=stats,
-        )
-        edges = gadget.unfold(folded)
+    fold_inst = FstInstance(gadget.folded_graph, inst.terminals)
+    _, folded = _kfst_core(
+        fold_inst,
+        weights=gadget.fold_weights(),
+        mode=mode,
+        stats=stats,
+    )
+    edges = gadget.unfold(folded)
     return Solution(
         edges=edges,
         cost=inst.graph.total_cost(edges),
@@ -670,7 +624,6 @@ def solve_2ecs(
     *,
     mode: str = "audit",
     threads: int = 1,
-    params: CycleSolverParams | None = None,
     stats: SolveStats | None = None,
 ) -> Solution:
     """2-edge-connected Steiner subgraphs: every edge treated as unsafe.
@@ -684,11 +637,11 @@ def solve_2ecs(
     inst = FstInstance(relabeled, frozenset(terminals))
     if epsilon is None:
         sol = solve_kfst_unweighted(
-            inst, eta, seed, mode=mode, threads=threads, params=params, stats=stats
+            inst, eta, seed, mode=mode, threads=threads, stats=stats
         )
     else:
         sol = solve_kfst_weighted(
-            inst, epsilon, eta, seed, mode=mode, threads=threads, params=params, stats=stats
+            inst, epsilon, eta, seed, mode=mode, threads=threads, stats=stats
         )
     return Solution(
         edges=sol.edges,

@@ -9,12 +9,10 @@ graph maps back to a (1+eps)-approximate solution of the weighted
 problem, because any solution loses at most n*mu = eps*beta <= eps*OPT to
 rounding.
 
-Solvers here never walk the subdivided graph directly: subdivision nodes
-have degree two, so a simple cycle or path uses each subdivision chain
-all or nothing, and searching the original topology with integer edge
-weights equal to the chain lengths is equivalent and far smaller. The
-subdivided graph is still materialised for size accounting and for
-external plugin solvers, which receive it literally.
+The subdivided graph is never built: subdivision nodes have degree two,
+so a simple cycle or path uses each subdivision chain all or nothing, and
+searching the original topology with integer edge weights equal to the
+chain lengths is equivalent and far smaller. Its size is still reported.
 """
 
 from __future__ import annotations
@@ -24,13 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import (
-    CycleSolverParams,
-    SolverKind,
-    cycle_node_order,
-    min_steiner_cycle,
-    search_min_cycle,
-)
+from .cycles import cycle_node_order, search_min_cycle
 from .errors import Infeasible, NoCycle
 from .graph import Graph, blocks_and_cuts, connected_components, exact_fraction
 from .solution import ProblemKind, Solution, SolveStats
@@ -43,8 +35,7 @@ class ScalingGadget:
     ``folded_graph`` keeps only surviving edges under fresh dense ids;
     ``fold_origin[new_id]`` recovers the original id and ``counts`` gives
     each original edge's subdivision length (the weight to use on the
-    folded graph). ``subdivided_graph`` is the literal unit-cost
-    expansion with ``edge_origin_map`` per unit edge.
+    folded graph).
     """
 
     beta: Fraction
@@ -55,17 +46,12 @@ class ScalingGadget:
     surviving: tuple[int, ...]
     folded_graph: Graph
     fold_origin: tuple[int, ...]
-    subdivided_graph: Graph
-    edge_origin_map: tuple[int, ...]
 
     def fold_weights(self) -> dict[int, int]:
         return {new: self.counts[orig] for new, orig in enumerate(self.fold_origin)}
 
     def unfold(self, folded_edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.fold_origin[eid] for eid in folded_edges)
-
-    def map_back(self, subdivided_edges: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.edge_origin_map[eid] for eid in subdivided_edges)
 
 
 def _cycle_exists(g: Graph, terminals: set[int], eids: list[int]) -> bool:
@@ -132,22 +118,19 @@ def build_scaling_gadget(
     g: Graph,
     terminals: Iterable[int],
     epsilon,
-    eta_budget=Fraction(1, 100),
     kind: ProblemKind = ProblemKind.CYCLE,
 ) -> ScalingGadget:
     """Threshold scan, nb filter, rounding, and subdivision in one go.
 
     Scans prefixes of the cost-sorted edge list until one contains a
     feasible solution (raising Infeasible if even the full graph does
-    not), takes beta there, and produces the folded and subdivided views.
-    A zero beta short-circuits the arithmetic: all surviving edges are
-    zero-cost and count as single unit edges. ``eta_budget`` is carried
-    for plugin engines; the built-in existence checks are deterministic.
+    not), takes beta there, and produces the folded view with each
+    edge's subdivision length. A zero beta short-circuits the arithmetic:
+    all surviving edges are zero-cost and count as single unit edges.
     """
     eps = exact_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    del eta_budget  # deterministic checks; kept in the signature for plugins
     terms = set(terminals)
     order = sorted(g.edge_ids(), key=lambda eid: (g.edges[eid].cost, eid))
 
@@ -174,22 +157,6 @@ def build_scaling_gadget(
         rounded[eid] = mu * t
 
     folded, fold_origin = _restrict(g, list(surviving))
-
-    sub_specs: list[tuple] = []
-    sub_origin: list[int] = []
-    next_node = g.n
-    extra_nodes = 0
-    for eid in surviving:
-        e = g.edges[eid]
-        t = counts[eid]
-        chain = [e.u] + [next_node + i for i in range(t - 1)] + [e.v]
-        next_node += t - 1
-        extra_nodes += t - 1
-        for a, b in zip(chain, chain[1:]):
-            sub_specs.append((a, b, Fraction(1), e.safe))
-            sub_origin.append(eid)
-    subdivided = Graph.build(g.n + extra_nodes, sub_specs)
-
     return ScalingGadget(
         beta=beta,
         mu=mu,
@@ -199,18 +166,20 @@ def build_scaling_gadget(
         surviving=surviving,
         folded_graph=folded,
         fold_origin=fold_origin,
-        subdivided_graph=subdivided,
-        edge_origin_map=tuple(sub_origin),
     )
 
 
 def record_gadget(stats: SolveStats | None, gadget: ScalingGadget) -> None:
+    """Record the gadget's sizes, including the node count of the
+    subdivided graph: every chain of t unit edges adds t - 1 nodes."""
     if stats is None:
         return
     stats.threshold_index = gadget.threshold_index
     stats.beta = gadget.beta
     stats.mu = gadget.mu
-    stats.subdivided_nodes = gadget.subdivided_graph.n
+    stats.subdivided_nodes = gadget.folded_graph.n + sum(
+        t - 1 for t in gadget.counts.values()
+    )
 
 
 def weighted_steiner_cycle(
@@ -219,41 +188,24 @@ def weighted_steiner_cycle(
     epsilon,
     eta=Fraction(1, 100),
     seed: int = 0,
-    params: CycleSolverParams | None = None,
     stats: SolveStats | None = None,
 ) -> Solution:
     """(1+eps)-approximate minimum-cost Steiner cycle.
 
-    Builds the scaling gadget with half the failure budget, solves one
-    unweighted instance with the other half, and maps unit edges back.
-    With the exhaustive engine both halves are deterministic.
+    Builds the scaling gadget, solves one unweighted instance on its
+    folded view, and maps the edges back. ``eta`` and ``seed`` are only
+    recorded: the engine is deterministic.
     """
     eps = exact_fraction(epsilon)
-    eta = exact_fraction(eta)
-    gadget = build_scaling_gadget(g, terminals, eps, eta / 2, ProblemKind.CYCLE)
+    gadget = build_scaling_gadget(g, terminals, eps, ProblemKind.CYCLE)
     record_gadget(stats, gadget)
-    if params is not None and params.solver_kind is SolverKind.PLUGIN:
-        inner = CycleSolverParams(
-            eta=eta / 2,
-            seed=seed,
-            solver_kind=SolverKind.PLUGIN,
-            plugin=params.plugin,
-            threads=params.threads,
-        )
-        sub_sol = min_steiner_cycle(gadget.subdivided_graph, terminals, inner)
-        edges = gadget.map_back(sub_sol.edges)
-    else:
-        threads = params.threads if params is not None else 1
-        _, folded_eids, _ = search_min_cycle(
-            gadget.folded_graph,
-            terminals,
-            weights=gadget.fold_weights(),
-            threads=threads,
-        )
-        edges = gadget.unfold(folded_eids)
+    _, folded_eids, _ = search_min_cycle(
+        gadget.folded_graph, terminals, weights=gadget.fold_weights()
+    )
+    edges = gadget.unfold(folded_eids)
     if stats is not None:
         stats.epsilon = eps
-        stats.eta = eta
+        stats.eta = exact_fraction(eta)
         stats.seed = seed
     return Solution(
         edges=edges,

@@ -55,7 +55,6 @@ class SolveStats:
     subcalls: dict[str, int] = field(default_factory=dict)
     updates: list[tuple[int, int]] = field(default_factory=list)
     eta: Fraction | None = None
-    eta_per_call: Fraction | None = None
     epsilon: Fraction | None = None
     seed: int | None = None
     threads: int = 1

@@ -18,25 +18,16 @@ closed-form sum of anchor-pair products over all subsets and partitions.
 
 Subcall results are memoized by their arguments; with integer edge
 weights the same machinery solves the rounded-and-subdivided weighted
-instance without ever materialising subdivision chains.
+instance without ever materialising subdivision chains. The scan runs on
+the calling thread in a fixed order, so every count repeats exactly.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import (
-    CycleSolverParams,
-    SearchPrep,
-    SolverKind,
-    min_steiner_cycle,
-    min_steiner_path,
-    search_min_cycle,
-    search_min_path,
-)
+from .cycles import SearchPrep, search_min_cycle, search_min_path
 from .enumeration import OrderedPartition, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath, SubcallFailed
 from .graph import Graph, exact_fraction, is_2nc, subgraph_nodes
@@ -83,30 +74,14 @@ class _Subcalls:
         self,
         g: Graph,
         weights: dict[int, int] | None,
-        params: CycleSolverParams | None,
-        eta_per_call: Fraction,
         stats: SolveStats,
     ):
         self.g = g
         self.prep = SearchPrep(g, weights)
         self.w = self.prep.w
-        self.params = params
-        self.eta_per_call = eta_per_call
         self.stats = stats
         self.cycles: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
         self.paths: dict[tuple[frozenset[int], int, int], tuple[int, frozenset[int]] | None] = {}
-
-    def _plugin_params(self) -> CycleSolverParams | None:
-        p = self.params
-        if p is None or p.solver_kind is not SolverKind.PLUGIN:
-            return None
-        return CycleSolverParams(
-            eta=self.eta_per_call,
-            seed=p.seed,
-            solver_kind=SolverKind.PLUGIN,
-            plugin=p.plugin,
-            threads=p.threads,
-        )
 
     def _weigh(self, edges: frozenset[int]) -> int:
         return sum(self.w[eid] for eid in edges)
@@ -115,28 +90,14 @@ class _Subcalls:
         hit = self.cycles.get(part, _MISS)
         if hit is not _MISS:
             return hit
-        plug = self._plugin_params()
         result: tuple[int, frozenset[int]] | None
         try:
-            if plug is not None:
-                sol = min_steiner_cycle(self.g, part, plug)
-                edges = sol.edges
-                if len(subgraph_nodes(self.g, edges)) < 3:
-                    # the target subgraph needs >= 3 nodes; redo exhaustively
-                    _, eids, _ = search_min_cycle(
-                        self.g, part, min_nodes=3, prep=self.prep
-                    )
-                    edges = frozenset(eids)
-                result = (self._weigh(edges), edges)
-            else:
-                total, eids, _ = search_min_cycle(
-                    self.g, part, min_nodes=3, prep=self.prep
-                )
-                result = (total, frozenset(eids))
-            self.stats.count("cycle_calls")
-        except (NoCycle, SubcallFailed):
-            self.stats.count("cycle_calls")
+            # the target subgraph needs >= 3 nodes
+            total, eids, _ = search_min_cycle(self.g, part, min_nodes=3, prep=self.prep)
+            result = (total, frozenset(eids))
+        except NoCycle:
             result = None
+        self.stats.count("cycle_calls")
         self.cycles[part] = result
         return result
 
@@ -145,36 +106,25 @@ class _Subcalls:
         hit = self.paths.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        plug = self._plugin_params()
         result: tuple[int, frozenset[int]] | None
         try:
-            if plug is not None:
-                sol = min_steiner_path(self.g, part, s, t, plug)
-                result = (self._weigh(sol.edges), sol.edges)
-            else:
-                total, eids = search_min_path(self.g, part, s, t, prep=self.prep)
-                result = (total, frozenset(eids))
-            self.stats.count("path_calls")
-        except (NoPath, SubcallFailed):
-            self.stats.count("path_calls")
+            total, eids = search_min_path(self.g, part, s, t, prep=self.prep)
+            result = (total, frozenset(eids))
+        except NoPath:
             result = None
+        self.stats.count("path_calls")
         self.paths[key] = result
         return result
 
 
-def assemble_candidate(
-    g: Graph,
-    cfg: MarkerConfiguration,
-    eta_per_call=Fraction(1, 100),
-    params: CycleSolverParams | None = None,
-) -> Solution:
+def assemble_candidate(g: Graph, cfg: MarkerConfiguration) -> Solution:
     """Cycle through the first part plus one path per anchor pair.
 
     The union is an edge set (overlaps collapse). Any failing subroutine
     raises SubcallFailed so the caller can skip the configuration.
     """
     cfg.validate()
-    calls = _Subcalls(g, None, params, exact_fraction(eta_per_call), SolveStats())
+    calls = _Subcalls(g, None, SolveStats())
     got = calls.cycle(cfg.partition.parts[0])
     if got is None:
         raise SubcallFailed("no cycle through the first part")
@@ -190,27 +140,24 @@ def assemble_candidate(
 
 
 class _Incumbent:
-    """Shared minimum register: min by (weight, lexicographic edge tuple)."""
+    """Minimum register: min by (weight, lexicographic edge tuple)."""
 
     def __init__(self, weight: int, edges: frozenset[int]):
         self.weight = weight
         self.key = tuple(sorted(edges))
         self.edges = edges
-        self.lock = threading.Lock()
 
     def beats(self, weight: int, edges: frozenset[int]) -> bool:
         """Would ``offer`` accept this candidate now? The register only
         decreases, so a feasibility test is needed only where this holds."""
         key = tuple(sorted(edges))
-        with self.lock:
-            return (weight, key) < (self.weight, self.key)
+        return (weight, key) < (self.weight, self.key)
 
     def offer(self, weight: int, edges: frozenset[int]) -> bool:
         key = tuple(sorted(edges))
-        with self.lock:
-            if (weight, key) < (self.weight, self.key):
-                self.weight, self.key, self.edges = weight, key, edges
-                return True
+        if (weight, key) < (self.weight, self.key):
+            self.weight, self.key, self.edges = weight, key, edges
+            return True
         return False
 
 
@@ -220,11 +167,7 @@ def _solve_core(
     *,
     weights: dict[int, int] | None = None,
     mode: str = "audit",
-    threads: int = 1,
-    params: CycleSolverParams | None = None,
-    marker_universe=None,
     wide_subsets: bool = False,
-    eta=Fraction(1, 100),
     stats: SolveStats | None = None,
     feasibility_checked: bool = False,
 ) -> tuple[int, frozenset[int]]:
@@ -240,94 +183,69 @@ def _solve_core(
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
     stats = stats if stats is not None else SolveStats()
-    eta = exact_fraction(eta)
-    eta_per_call = eta / k
-    stats.eta = eta
-    stats.eta_per_call = eta_per_call
-    stats.threads = threads
-
-    calls = _Subcalls(g, weights, params, eta_per_call, stats)
+    calls = _Subcalls(g, weights, stats)
     full = frozenset(g.edge_ids())
     incumbent = _Incumbent(calls._weigh(full), full)
     lower_bound = max(3, k)
     term_set = set(terms)
-    universe = sorted(marker_universe) if marker_universe is not None else range(g.n)
     bound = 2 * k if wide_subsets else max(2 * k - 4, 0)
-    subsets = list(subsets_up_to(universe, bound))
-    stop = threading.Event()
+    stop = False  # fast mode: an update reached the lower bound
 
     def feasible(edges: frozenset[int]) -> bool:
         return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
 
-    def process(chunk: list[tuple[int, frozenset[int]]]):
-        iterations = 0
-        updates: list[tuple[int, int]] = []
-        for subset_index, S in chunk:
-            if stop.is_set():
+    iterations = 0
+    for subset_index, S in enumerate(subsets_up_to(range(g.n), bound)):
+        if stop:
+            break
+        ground = sorted(term_set | S)
+        for partition in ordered_partitions(ground, k, 2):
+            if stop:
                 break
-            ground = sorted(term_set | S)
-            for partition in ordered_partitions(ground, k, 2):
-                if stop.is_set():
-                    break
-                parts = partition.parts
-                r = len(parts)
-                dims: list[list[tuple[int, int]]] = []
-                pool = set(parts[0])
-                for i in range(1, r):
-                    nodes = sorted(pool)
-                    dims.append([(s, t) for s in nodes for t in nodes if s != t])
-                    pool |= parts[i]
-                suffix = [1] * (len(dims) + 1)
-                for j in range(len(dims) - 1, -1, -1):
-                    suffix[j] = suffix[j + 1] * len(dims[j])
+            parts = partition.parts
+            r = len(parts)
+            dims: list[list[tuple[int, int]]] = []
+            pool = set(parts[0])
+            for i in range(1, r):
+                nodes = sorted(pool)
+                dims.append([(s, t) for s in nodes for t in nodes if s != t])
+                pool |= parts[i]
+            suffix = [1] * (len(dims) + 1)
+            for j in range(len(dims) - 1, -1, -1):
+                suffix[j] = suffix[j + 1] * len(dims[j])
 
-                cyc = calls.cycle(parts[0])
-                if cyc is None:
-                    iterations += suffix[0]
-                    continue
+            cyc = calls.cycle(parts[0])
+            if cyc is None:
+                iterations += suffix[0]
+                continue
 
-                def walk(idx: int, union: frozenset[int], weight: int) -> int:
-                    done = 0
-                    if idx == len(dims):
-                        # feasibility is only ever tested on would-be updates
-                        if incumbent.beats(weight, union) and feasible(union):
-                            if incumbent.offer(weight, union):
-                                updates.append((subset_index, weight))
-                                if mode == "fast" and weight <= lower_bound:
-                                    stop.set()
-                        return 1
-                    part = parts[idx + 1]
-                    for s, t in dims[idx]:
-                        sub = calls.path(part, s, t)
-                        if sub is None:
-                            done += suffix[idx + 1]
-                            continue
-                        added = sub[1] - union
-                        nw = weight + sum(calls.w[e] for e in added)
-                        if nw > incumbent.weight:
-                            done += suffix[idx + 1]
-                            continue
-                        done += walk(idx + 1, union | sub[1], nw)
-                    return done
+            def walk(idx: int, union: frozenset[int], weight: int) -> int:
+                nonlocal stop
+                done = 0
+                if idx == len(dims):
+                    # feasibility is only ever tested on would-be updates
+                    if incumbent.beats(weight, union) and feasible(union):
+                        if incumbent.offer(weight, union):
+                            stats.updates.append((subset_index, weight))
+                            if mode == "fast" and weight <= lower_bound:
+                                stop = True
+                    return 1
+                part = parts[idx + 1]
+                for s, t in dims[idx]:
+                    sub = calls.path(part, s, t)
+                    if sub is None:
+                        done += suffix[idx + 1]
+                        continue
+                    added = sub[1] - union
+                    nw = weight + sum(calls.w[e] for e in added)
+                    if nw > incumbent.weight:
+                        done += suffix[idx + 1]
+                        continue
+                    done += walk(idx + 1, union | sub[1], nw)
+                return done
 
-                iterations += walk(0, cyc[1], cyc[0])
-        return iterations, updates
-
-    indexed = list(enumerate(subsets))
-    if threads <= 1:
-        total_iters, all_updates = process(indexed)
-    else:
-        chunks = [indexed[i::threads] for i in range(threads)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool_exec:
-            results = list(pool_exec.map(process, chunks))
-        total_iters = sum(r[0] for r in results)
-        all_updates = sorted(
-            (u for r in results for u in r[1]), key=lambda x: x[0]
-        )
-
-    stats.iterations += total_iters
-    stats.updates.extend(all_updates)
+            iterations += walk(0, cyc[1], cyc[0])
+    stats.iterations += iterations
 
     final = incumbent.edges
     if final == full and not feasible(full):
@@ -344,26 +262,24 @@ def solve_2ncs_unweighted(
     *,
     mode: str = "audit",
     threads: int = 1,
-    params: CycleSolverParams | None = None,
     wide_subsets: bool = False,
     stats: SolveStats | None = None,
 ) -> Solution:
     """Minimum-size 2-node-connected subgraph containing the terminals.
 
-    Deterministic with the built-in engine; ``eta`` only matters for
-    plugin subcalls (budget eta/k each). Raises Infeasible when the
-    terminals do not share a block of at least three nodes.
+    Deterministic; ``eta``, ``seed`` and ``threads`` are only recorded in
+    ``stats``. Raises Infeasible when the terminals do not share a block
+    of at least three nodes.
     """
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
+    stats.eta = exact_fraction(eta)
+    stats.threads = threads
     _, edges = _solve_core(
         g,
         terminals,
         mode=mode,
-        threads=threads,
-        params=params,
         wide_subsets=wide_subsets,
-        eta=eta,
         stats=stats,
     )
     return Solution(edges=edges, cost=g.total_cost(edges))
@@ -378,7 +294,6 @@ def solve_2ncs_weighted(
     *,
     mode: str = "audit",
     threads: int = 1,
-    params: CycleSolverParams | None = None,
     wide_subsets: bool = False,
     stats: SolveStats | None = None,
 ) -> Solution:
@@ -386,48 +301,29 @@ def solve_2ncs_weighted(
 
     Cost-sorts and rounds through the scaling gadget, solves one
     unweighted instance on the folded view (integer weights stand in for
-    subdivision chains), and maps edge ids back. Plugin engines get the
-    literal subdivided graph instead, with candidate degree-3 sets still
-    drawn from original nodes only (subdivision nodes have degree two and
-    can never need a marker).
+    subdivision chains), and maps edge ids back. ``eta``, ``seed`` and
+    ``threads`` are only recorded in ``stats``.
     """
     eps = exact_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    eta = exact_fraction(eta)
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
     stats.epsilon = eps
-    gadget = build_scaling_gadget(g, terminals, eps, eta / 2, ProblemKind.TWO_NCS)
+    stats.eta = exact_fraction(eta)
+    stats.threads = threads
+    gadget = build_scaling_gadget(g, terminals, eps, ProblemKind.TWO_NCS)
     record_gadget(stats, gadget)
-    if params is not None and params.solver_kind is SolverKind.PLUGIN:
-        _, sub_edges = _solve_core(
-            gadget.subdivided_graph,
-            terminals,
-            mode=mode,
-            threads=threads,
-            params=params,
-            marker_universe=range(g.n),
-            wide_subsets=wide_subsets,
-            eta=eta / 2,
-            stats=stats,
-            feasibility_checked=True,
-        )
-        edges = gadget.map_back(sub_edges)
-    else:
-        _, folded_edges = _solve_core(
-            gadget.folded_graph,
-            terminals,
-            weights=gadget.fold_weights(),
-            mode=mode,
-            threads=threads,
-            params=params,
-            wide_subsets=wide_subsets,
-            eta=eta / 2,
-            stats=stats,
-            feasibility_checked=True,
-        )
-        edges = gadget.unfold(folded_edges)
+    _, folded_edges = _solve_core(
+        gadget.folded_graph,
+        terminals,
+        weights=gadget.fold_weights(),
+        mode=mode,
+        wide_subsets=wide_subsets,
+        stats=stats,
+        feasibility_checked=True,
+    )
+    edges = gadget.unfold(folded_edges)
     return Solution(
         edges=edges,
         cost=g.total_cost(edges),

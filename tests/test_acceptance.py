@@ -478,3 +478,31 @@ def test_criterion_8_reproducibility(capsys):
         f"identical edge sets on repeated single-thread runs",
     )
     assert ok
+
+
+@pytest.mark.parametrize("mode", ["audit", "fast"])
+def test_threads_do_not_change_the_counts(mode):
+    # SolveStats counts are part of the reproducibility contract too
+    rng = random.Random(56)
+    runs = []
+    for _ in range(2):
+        g1 = ring_chords(rng, 7, 12)
+        g2 = ring_chords(rng, 6, 10, weighted=True)
+        g3 = ring_chords(rng, 7, 12, unsafe=0.4)
+        t1, t2, t3 = (sorted(rng.sample(range(g.n), 3)) for g in (g1, g2, g3))
+        runs += [
+            lambda t, st, g=g1, ts=t1: solve_2ncs_unweighted(
+                g, ts, mode=mode, threads=t, stats=st),
+            lambda t, st, g=g2, ts=t2: solve_2ncs_weighted(
+                g, ts, Fraction(1, 4), mode=mode, threads=t, stats=st),
+            lambda t, st, g=g3, ts=t3: solve_kfst_unweighted(
+                FstInstance(g, frozenset(ts)), mode=mode, threads=t, stats=st),
+        ]
+    for run in runs:
+        counts = set()
+        for threads in (1, 2, 4):
+            stats = SolveStats()
+            run(threads, stats)
+            counts.add((stats.iterations, tuple(sorted(stats.subcalls.items())),
+                        tuple(stats.updates)))
+        assert len(counts) == 1

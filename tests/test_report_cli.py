@@ -306,3 +306,21 @@ class TestCli:
         report = json.loads(out)
         assert report["status"] == "ok"
         assert report["oracle_check"]["agreement"] in ("exact", "within-ratio")
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("kind", ["cycle", "2ncs", "2ecs", "kfst"])
+    def test_report_records_the_eta_it_was_given(self, tmp_path, capsys, kind, weighted):
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3)]
+        text = f"{kind} 5 7 3\nt 0\nt 1\nt 3\n" + "".join(
+            f"e {u} {v} {i + 1 if weighted else 1} {'SU'[i % 2]}\n"
+            for i, (u, v) in enumerate(pairs)
+        )
+        path = write_instance(tmp_path, text)
+        code, out, _ = run_cli(capsys, kind, path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["optimal"] is not weighted
+        assert report["stats"]["eta"] == "0.01"
+        code, out, _ = run_cli(capsys, kind, path, "--eta", "1/3")
+        assert code == 0
+        assert json.loads(out)["stats"]["eta"] == "1/3"

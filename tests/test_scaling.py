@@ -41,7 +41,11 @@ class TestGadgetConstruction:
         # every edge becomes ceil(1 / (1/3)) = 3 unit edges
         counts = gadget.fold_weights()
         assert all(counts[eid] == 3 for eid in g.edge_ids())
-        assert gadget.subdivided_graph.m == 9
+        assert sum(gadget.counts.values()) == 9
+        # the subdivided triangle has its 3 nodes plus 2 inner nodes per edge
+        stats = SolveStats()
+        weighted_steiner_cycle(g, [0, 1, 2], Fraction(1), stats=stats)
+        assert stats.subdivided_nodes == 9
 
     def test_zero_cost_edge_becomes_one_unit_edge(self):
         g = Graph.build(
@@ -64,7 +68,8 @@ class TestGadgetConstruction:
             for eps in (Fraction(1, 2), Fraction(1, 10)):
                 gadget = build_scaling_gadget(g, [0, 1, 2], eps)
                 bound = g.n + Fraction(g.m * g.n * g.n, eps)
-                assert gadget.subdivided_graph.n <= bound
+                subdivided_nodes = g.n + sum(t - 1 for t in gadget.counts.values())
+                assert subdivided_nodes <= bound
 
     def test_threshold_is_smallest_feasible_prefix(self):
         # expensive detour edge is not needed; beta stays at the cycle's max
