@@ -35,7 +35,7 @@ from .kfst import FstInstance, solve_2ecs, solve_kfst_unweighted, solve_kfst_wei
 from .oracle import OracleBudget, oracle_min_subgraph
 from .report import build_report, emit_report
 from .scaling import weighted_steiner_cycle
-from .solution import ProblemKind, Solution, SolveStats
+from .solution import ProblemKind, Solution, SolveStats, checked_eta
 from .twonc import solve_2ncs_unweighted, solve_2ncs_weighted
 
 EXIT_OK = 0
@@ -236,8 +236,10 @@ def _run_solve(args) -> int:
     if args.epsilon is not None and args.epsilon <= 0:
         print("survsteiner: --epsilon must be positive", file=sys.stderr)
         return EXIT_USAGE
-    if not 0 < args.eta <= 1:
-        print("survsteiner: --eta must be in (0, 1]", file=sys.stderr)
+    try:
+        checked_eta(args.eta)
+    except ValueError as exc:
+        print(f"survsteiner: --{exc}", file=sys.stderr)
         return EXIT_USAGE
 
     g = inst.graph

@@ -4,27 +4,32 @@ The engine is one depth-first search kernel for both questions.
 A cycle search walks from the lowest terminal back to itself; a path
 search walks from s and closes at t on the graph itself, with no
 auxiliary node. Visited sets and the reachability test are bitmasks over
-per-node neighbour masks. Branches already no better than the incumbent
-are pruned, as are branches from which the remaining terminals or the
-closing node can no longer be reached. The engine is deterministic, has
-error probability zero, and returns the lexicographically smallest edge
-set among optima. Edge weights (positive integers, default one) let it
-answer subdivided-cost questions without materialising subdivision
-paths. The per-(graph, weights) tables (``SearchPrep``) are built once
-and shared by every search on that graph, e.g. by the 2NCS subcall memo.
-Every search runs on the calling thread.
+per-node neighbour masks. A branch is pruned when its weight plus an
+admissible distance bound on the rest of the walk (whole-graph shortest
+paths to each missing terminal and on to the closing node) exceeds the
+incumbent, and when the remaining terminals or the closing node can no
+longer be reached. The engine is deterministic, has error probability
+zero, and returns the lexicographically smallest edge set among optima.
+An existence mode stops at the first closing walk; the threshold scan of
+the scaling gadget asks it whether a prefix holds a cycle. Edge weights
+(positive integers, default one) let it answer subdivided-cost questions
+without materialising subdivision paths. The per-(graph, weights) tables
+(``SearchPrep``), distance rows included, are built once and shared by
+every search on that graph, e.g. by the 2NCS subcall memo. Every search
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoCycle, NoPath, TerminalMissing
-from .graph import Graph, exact_fraction
-from .solution import Solution
+from .graph import Graph
+from .solution import Solution, checked_eta
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,7 @@ class CycleSolverParams:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        eta = exact_fraction(self.eta)
-        object.__setattr__(self, "eta", eta)
-        if not 0 < eta <= 1:
-            raise ValueError("eta must be in (0, 1]")
+        object.__setattr__(self, "eta", checked_eta(self.eta))
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -63,28 +65,74 @@ class SearchPrep:
     (edge-id order) and ``nbr[v]`` is the bitmask of v's neighbours.
     Build it once per graph and weight vector and pass it to every
     search on them; ``weights`` maps edge id to a positive integer,
-    default 1.
+    default 1, and ``edges``, if given, keeps only those edge ids.
+    ``row(src)`` is the shortest-path distance from ``src`` to
+    every node under those weights (``math.inf`` where unreachable); a row
+    is built the first time a search asks for it and kept, so searches
+    sharing the prep share its rows.
     """
 
-    __slots__ = ("w", "adj", "nbr")
+    __slots__ = ("w", "adj", "nbr", "rows")
 
-    def __init__(self, g: Graph, weights: dict[int, int] | None = None):
+    def __init__(
+        self,
+        g: Graph,
+        weights: dict[int, int] | None = None,
+        edges: Iterable[int] | None = None,
+    ):
         self.w = [1] * g.m
         if weights:
             for eid, val in weights.items():
                 self.w[eid] = val
+        keep = None if edges is None else set(edges)
         self.adj = [
-            tuple((eid, g.edges[eid].other(v), self.w[eid]) for eid in g.incident(v))
+            tuple(
+                (eid, g.edges[eid].other(v), self.w[eid])
+                for eid in g.incident(v)
+                if keep is None or eid in keep
+            )
             for v in range(g.n)
         ]
         self.nbr = [0] * g.n
         for v, row in enumerate(self.adj):
             for _, y, _ in row:
                 self.nbr[v] |= 1 << y
+        self.rows: dict[int, list] = {}
+
+    def row(self, src: int) -> list:
+        got = self.rows.get(src)
+        if got is None:
+            got = self.rows[src] = _distance_row(self, src)
+        return got
+
+
+def _distance_row(prep: SearchPrep, src: int) -> list:
+    """Single-source distances under the prep's weights (Dijkstra)."""
+    dist = [math.inf] * len(prep.adj)
+    dist[src] = 0
+    heap = [(0, src)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for _, y, wt in prep.adj[v]:
+            if d + wt < dist[y]:
+                dist[y] = d + wt
+                heapq.heappush(heap, (d + wt, y))
+    return dist
+
+
+class _Found(Exception):
+    """Unwinds an existence search at its first closing walk."""
 
 
 def _search(
-    prep: SearchPrep, start: int, end: int, need: int, min_nodes: int
+    prep: SearchPrep,
+    start: int,
+    end: int,
+    need: int,
+    min_nodes: int,
+    exists: bool = False,
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """The one search kernel: the minimum (weight, sorted edge ids, node
     order) over simple walks from ``start`` that pass every node of the
@@ -92,17 +140,30 @@ def _search(
     none. ``start == end`` asks for a cycle, which is enumerated once by
     requiring the closing edge id to exceed the opening one; otherwise
     the walk is an s-t path. Visited sets and reachability are bitmasks.
+    With ``exists`` set the search stops at the first closing walk and
+    returns it, minimal or not.
 
-    A branch is pruned when its weight plus one per still-missing node
-    plus one for closing exceeds the incumbent (strictly, so ties reach
-    the lexicographic comparison), or when the missing nodes or the
-    closing edge can no longer be reached through unvisited nodes.
+    When the walk steps to y with weight ``acc``, the branch is pruned if
+    ``acc`` plus a lower bound on the rest exceeds the incumbent
+    (strictly, so ties reach the lexicographic comparison). The bound is
+    the largest of: one per still-missing node plus one for closing;
+    d(y, end); and d(y, t) + d(t, end) over missing t, where d is the
+    whole-graph distance under the weights (``SearchPrep.row``). The rest
+    of the walk is a path through unvisited nodes that visits every
+    missing t and ends at ``end`` with at least missing + 1 edges of
+    weight >= 1, so no term exceeds its weight: the bound is admissible
+    and every search returns what an unpruned one would. The rows are
+    read only once an incumbent exists, so an existence search builds
+    none. A branch that survives is still pruned when the missing nodes
+    or the closing edge can no longer be reached through unvisited nodes.
     """
     adj, nbr = prep.adj, prep.nbr
     closing = nbr[end]
     cycle = start == end
     best = None
     bound = math.inf
+    to_end: list = []
+    legs: list[tuple[int, list, int]] = []  # (bit of t, d(t, .), d(t, end))
     nodes = [start]
     eids: list[int] = []
 
@@ -118,7 +179,7 @@ def _search(
         return bool(reach & closing) and not missing & ~reach
 
     def dfs(head: int, visited: int, acc: int, first: int) -> None:
-        nonlocal best, bound
+        nonlocal best, bound, to_end
         for eid, y, wt in adj[head]:
             if y == end:
                 if cycle and (eid <= first or len(nodes) < min_nodes):
@@ -130,11 +191,29 @@ def _search(
                 if best is None or (total, key) < best[:2]:
                     best = (total, key, tuple(nodes))
                     bound = total
+                    if exists:
+                        raise _Found
+                    if not to_end:
+                        to_end = prep.row(end)
+                        others = need & ~(1 << start | 1 << end)
+                        while others:
+                            low = others & -others
+                            others ^= low
+                            t = low.bit_length() - 1
+                            legs.append((low, prep.row(t), to_end[t]))
             elif not visited >> y & 1:
                 acc2 = acc + wt
                 seen = visited | 1 << y
-                if acc2 + (need & ~seen).bit_count() + 1 > bound:
+                missing = need & ~seen
+                if acc2 + missing.bit_count() + 1 > bound:
                     continue
+                if to_end:
+                    rest = to_end[y]
+                    for bit, row, tail in legs:
+                        if missing & bit and row[y] + tail > rest:
+                            rest = row[y] + tail
+                    if acc2 + rest > bound:
+                        continue
                 nodes.append(y)
                 eids.append(eid)
                 if reachable(seen, y):
@@ -142,7 +221,10 @@ def _search(
                 nodes.pop()
                 eids.pop()
 
-    dfs(start, 1 << start | 1 << end, 0, -1)
+    try:
+        dfs(start, 1 << start | 1 << end, 0, -1)
+    except _Found:
+        pass
     return best
 
 
@@ -171,6 +253,19 @@ def search_min_cycle(
     if best is None:
         raise NoCycle("no simple cycle contains all the terminals")
     return best
+
+
+def steiner_cycle_exists(
+    g: Graph, terminals: Iterable[int], edges: Iterable[int] | None = None
+) -> bool:
+    """Does some simple cycle through every terminal use only ``edges``
+    (default: all of g)? The kernel's existence mode: it stops at the
+    first cycle it closes and builds no distance rows."""
+    terms = sorted(set(terminals))
+    _check_terminals(g, terms)
+    prep = SearchPrep(g, edges=edges)
+    need = sum(1 << v for v in terms)
+    return _search(prep, terms[0], terms[0], need, 2, exists=True) is not None
 
 
 def cycle_node_order(g: Graph, edges: Iterable[int]) -> tuple[int, ...]:

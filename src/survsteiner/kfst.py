@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import Graph, exact_fraction, is_connected, subgraph_nodes
 from .scaling import build_scaling_gadget, prefix_feasible, record_gadget
-from .solution import ProblemKind, Solution, SolveStats
+from .solution import ProblemKind, Solution, SolveStats, checked_eta
 from .twonc import _Incumbent, _solve_core, _Subcalls
 
 # Families are pruned against the incumbent only at batch starts.
@@ -508,7 +508,6 @@ def _kfst_core(
     def evaluate(item) -> tuple[int, frozenset[int]] | None:
         _, _, parts, tree = item
         union = set(tree.edges)
-        weight_total = 0
         for part in parts:
             if len(part) == 1:
                 continue
@@ -564,7 +563,7 @@ def solve_kfst_unweighted(
     ``threads`` are only recorded in ``stats``."""
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
-    stats.eta = exact_fraction(eta)
+    stats.eta = checked_eta(eta)
     stats.threads = threads
     _, edges = _kfst_core(inst, mode=mode, stats=stats)
     return Solution(edges=edges, cost=inst.graph.total_cost(edges))
@@ -595,7 +594,7 @@ def solve_kfst_weighted(
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
     stats.epsilon = eps
-    stats.eta = exact_fraction(eta)
+    stats.eta = checked_eta(eta)
     stats.threads = threads
     gadget = build_scaling_gadget(inst.graph, inst.terminals, eps, ProblemKind.KFST)
     record_gadget(stats, gadget)

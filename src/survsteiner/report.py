@@ -11,7 +11,6 @@ re-derives everything from the instance graph and the report text alone.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .blocktree import (
     BlockTree,

@@ -9,6 +9,12 @@ graph maps back to a (1+eps)-approximate solution of the weighted
 problem, because any solution loses at most n*mu = eps*beta <= eps*OPT to
 rounding.
 
+The shortest feasible prefix is found by binary search over prefix
+lengths: a feasible subgraph of one prefix lies inside every longer
+prefix, so feasibility is monotone in the length. Each probe only asks
+whether a solution exists (for cycles, the search kernel's existence
+mode), and a gadget makes about log2(m) + 1 of them.
+
 The subdivided graph is never built: subdivision nodes have degree two,
 so a simple cycle or path uses each subdivision chain all or nothing, and
 searching the original topology with integer edge weights equal to the
@@ -22,10 +28,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import cycle_node_order, search_min_cycle
-from .errors import Infeasible, NoCycle
+from .cycles import cycle_node_order, search_min_cycle, steiner_cycle_exists
+from .errors import Infeasible
 from .graph import Graph, blocks_and_cuts, connected_components, exact_fraction
-from .solution import ProblemKind, Solution, SolveStats
+from .solution import ProblemKind, Solution, SolveStats, checked_eta
 
 
 @dataclass(frozen=True)
@@ -52,17 +58,6 @@ class ScalingGadget:
 
     def unfold(self, folded_edges: Iterable[int]) -> frozenset[int]:
         return frozenset(self.fold_origin[eid] for eid in folded_edges)
-
-
-def _cycle_exists(g: Graph, terminals: set[int], eids: list[int]) -> bool:
-    if not eids:
-        return False
-    sub = _restrict(g, eids)[0]
-    try:
-        search_min_cycle(sub, terminals)
-        return True
-    except NoCycle:
-        return False
 
 
 def _twonc_exists(g: Graph, terminals: set[int], eids: list[int]) -> bool:
@@ -93,7 +88,7 @@ def prefix_feasible(
     """Does the edge subset contain some feasible solution for the kind?"""
     terms = set(terminals)
     if kind is ProblemKind.CYCLE:
-        return _cycle_exists(g, terms, eids)
+        return steiner_cycle_exists(g, terms, eids)
     if kind is ProblemKind.TWO_NCS:
         return _twonc_exists(g, terms, eids)
     if kind is ProblemKind.TWO_ECS:
@@ -122,10 +117,11 @@ def build_scaling_gadget(
 ) -> ScalingGadget:
     """Threshold scan, nb filter, rounding, and subdivision in one go.
 
-    Scans prefixes of the cost-sorted edge list until one contains a
-    feasible solution (raising Infeasible if even the full graph does
-    not), takes beta there, and produces the folded view with each
-    edge's subdivision length. A zero beta short-circuits the arithmetic:
+    Binary-searches the prefixes of the cost-sorted edge list (ties by
+    edge id) for the shortest one that contains a feasible solution,
+    raising Infeasible if even the full graph does not; ``threshold_index``
+    is its length, the same as a linear scan finds. Takes beta there and
+    produces the folded view with each edge's subdivision length. A zero beta short-circuits the arithmetic:
     all surviving edges are zero-cost and count as single unit edges.
     """
     eps = exact_fraction(epsilon)
@@ -134,13 +130,17 @@ def build_scaling_gadget(
     terms = set(terminals)
     order = sorted(g.edge_ids(), key=lambda eid: (g.edges[eid].cost, eid))
 
-    threshold = None
-    for j in range(1, len(order) + 1):
-        if prefix_feasible(g, terms, kind, order[:j]):
-            threshold = j
-            break
-    if threshold is None:
+    if not prefix_feasible(g, terms, kind, order):
         raise Infeasible(f"no feasible {kind.value} solution exists in the graph")
+    # feasibility is monotone in the prefix length: the shortest feasible
+    # prefix lies in (low, threshold]
+    low, threshold = 0, len(order)
+    while threshold - low > 1:
+        mid = (low + threshold) // 2
+        if prefix_feasible(g, terms, kind, order[:mid]):
+            threshold = mid
+        else:
+            low = mid
 
     beta = g.edges[order[threshold - 1]].cost
     n = g.n
@@ -197,6 +197,7 @@ def weighted_steiner_cycle(
     recorded: the engine is deterministic.
     """
     eps = exact_fraction(epsilon)
+    eta = checked_eta(eta)
     gadget = build_scaling_gadget(g, terminals, eps, ProblemKind.CYCLE)
     record_gadget(stats, gadget)
     _, folded_eids, _ = search_min_cycle(
@@ -205,7 +206,7 @@ def weighted_steiner_cycle(
     edges = gadget.unfold(folded_eids)
     if stats is not None:
         stats.epsilon = eps
-        stats.eta = exact_fraction(eta)
+        stats.eta = eta
         stats.seed = seed
     return Solution(
         edges=edges,

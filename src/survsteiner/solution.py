@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+from .graph import exact_fraction
+
 
 class ProblemKind(str, Enum):
     """The four problems the package solves."""
@@ -67,3 +69,15 @@ class SolveStats:
 
     def count(self, name: str, inc: int = 1) -> None:
         self.subcalls[name] = self.subcalls.get(name, 0) + inc
+
+
+def checked_eta(value) -> Fraction:
+    """The failure budget as an exact fraction; ValueError outside (0, 1].
+
+    Every entry point that accepts ``eta`` checks it here, although the
+    deterministic engine only records it.
+    """
+    eta = exact_fraction(value)
+    if not 0 < eta <= 1:
+        raise ValueError("eta must be in (0, 1]")
+    return eta

@@ -32,7 +32,7 @@ from .enumeration import OrderedPartition, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath, SubcallFailed
 from .graph import Graph, exact_fraction, is_2nc, subgraph_nodes
 from .scaling import build_scaling_gadget, prefix_feasible, record_gadget
-from .solution import ProblemKind, Solution, SolveStats
+from .solution import ProblemKind, Solution, SolveStats, checked_eta
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def solve_2ncs_unweighted(
     """
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
-    stats.eta = exact_fraction(eta)
+    stats.eta = checked_eta(eta)
     stats.threads = threads
     _, edges = _solve_core(
         g,
@@ -310,7 +310,7 @@ def solve_2ncs_weighted(
     stats = stats if stats is not None else SolveStats()
     stats.seed = seed
     stats.epsilon = eps
-    stats.eta = exact_fraction(eta)
+    stats.eta = checked_eta(eta)
     stats.threads = threads
     gadget = build_scaling_gadget(g, terminals, eps, ProblemKind.TWO_NCS)
     record_gadget(stats, gadget)

@@ -19,7 +19,13 @@ from survsteiner import (
     oracle_min_subgraph,
     subgraph_nodes,
 )
-from survsteiner.cycles import search_min_cycle, search_min_path
+from survsteiner import cycles
+from survsteiner.cycles import (
+    SearchPrep,
+    search_min_cycle,
+    search_min_path,
+    steiner_cycle_exists,
+)
 
 
 def triangle():
@@ -246,3 +252,101 @@ class TestMinSteinerPath:
                 except NoPath:
                     got = None
                 assert got == expect, (s, t, wterms)
+
+
+def chorded_multigraph(rng, unit):
+    """A ring of 5-9 nodes plus chords and parallel copies; weights 1-4
+    (or all 1, where ties are most common)."""
+    n = rng.randrange(5, 10)
+    specs = [(v, (v + 1) % n) for v in range(n)]
+    for _ in range(rng.randrange(1, n)):
+        specs.append(tuple(rng.sample(range(n), 2)))
+    specs += rng.sample(specs, 2)
+    g = Graph.build(n, specs)
+    return g, {eid: 1 if unit else rng.randint(1, 4) for eid in g.edge_ids()}
+
+
+def bit(nodes):
+    return sum(1 << v for v in nodes)
+
+
+class TestDistanceBound:
+    """The kernel's distance bound against a kernel whose distance rows
+    are all zero, which leaves only the one-per-missing-node prune."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bounded_search_matches_unbounded(self, seed, monkeypatch):
+        rng = random.Random(5000 + seed)
+        g, weights = chorded_multigraph(rng, unit=seed % 3 == 0)
+        queries = []
+        for _ in range(6):
+            terms = sorted(rng.sample(range(g.n), rng.randrange(1, 5)))
+            min_nodes = rng.choice((2, 3))
+            queries.append((terms[0], terms[0], bit(terms), min_nodes))
+            s, t = rng.sample(range(g.n), 2)
+            queries.append((s, t, bit(rng.sample(range(g.n), rng.randrange(0, 4))), 0))
+        bounded = SearchPrep(g, weights)
+        got = [cycles._search(bounded, *q) for q in queries]
+        monkeypatch.setattr(cycles, "_distance_row", lambda prep, src: [0] * g.n)
+        unbounded = SearchPrep(g, weights)
+        want = [cycles._search(unbounded, *q) for q in queries]
+        assert got == want
+        # the bound was in force on one side and absent on the other
+        assert bounded.rows
+        assert all(row == [0] * g.n for row in unbounded.rows.values())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_root_bound_never_exceeds_the_optimum(self, seed):
+        rng = random.Random(6000 + seed)
+        wg, weights = weighted_multigraph(rng)
+        shapes = brute_force_shapes(wg, weights)
+        prep = SearchPrep(wg, weights)
+
+        def root_bound(start, end, need):
+            missing = [v for v in need if v not in (start, end)]
+            to_end = prep.row(end)
+            legs = [prep.row(v)[start] + to_end[v] for v in missing]
+            return max([len(missing) + 1, to_end[start], *legs])
+
+        for r in (1, 2, 3):
+            for terms in itertools.combinations(range(wg.n), r):
+                opt = min(
+                    (key[0] for key, deg in shapes
+                     if set(terms) <= deg.keys() and min(deg.values()) == 2),
+                    default=None,
+                )
+                if opt is not None:
+                    assert root_bound(terms[0], terms[0], terms) <= opt, terms
+        for s, t in itertools.permutations(range(wg.n), 2):
+            for via in range(wg.n):
+                opt = min(
+                    (key[0] for key, deg in shapes
+                     if deg.get(s) == 1 and deg.get(t) == 1 and via in deg),
+                    default=None,
+                )
+                if opt is not None:
+                    assert root_bound(s, t, (via,)) <= opt, (s, t, via)
+
+
+class TestExistenceMode:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_the_minimum_search(self, seed):
+        rng = random.Random(7000 + seed)
+        g = random_connected(rng)
+        for _ in range(8):
+            terms = rng.sample(range(g.n), rng.randrange(1, min(4, g.n) + 1))
+            edges = rng.sample(g.edge_ids(), rng.randrange(0, g.m + 1))
+            try:
+                search_min_cycle(
+                    Graph.build(g.n, [(g.edge(e).u, g.edge(e).v) for e in edges]), terms
+                )
+                found = True
+            except NoCycle:
+                found = False
+            assert steiner_cycle_exists(g, terms, edges) is found
+            try:
+                search_min_cycle(g, terms)
+                found = True
+            except NoCycle:
+                found = False
+            assert steiner_cycle_exists(g, terms) is found

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from survsteiner import (
+    CycleSolverParams,
     FstInstance,
     Graph,
     Infeasible,
@@ -19,9 +20,12 @@ from survsteiner import (
     oracle_min_subgraph,
     solve_2ecs,
     solve_2ncs_unweighted,
+    solve_2ncs_weighted,
     solve_kfst_unweighted,
+    solve_kfst_weighted,
     validate_certificate,
     validate_report,
+    weighted_steiner_cycle,
 )
 from survsteiner.cli import main
 
@@ -144,6 +148,31 @@ class TestReports:
         report = build_report(g, ProblemKind.TWO_NCS, [0, 1], sol)
         assert report["ratio_bound"] == "1.5"
         assert report["cost"] == "4"
+
+
+HALF = Fraction(1, 2)
+ETA_ENTRY_POINTS = {
+    "CycleSolverParams": lambda eta: CycleSolverParams(eta=eta),
+    "weighted_steiner_cycle": lambda eta: weighted_steiner_cycle(theta(), [0, 1], HALF, eta),
+    "solve_2ncs_unweighted": lambda eta: solve_2ncs_unweighted(theta(), [0, 1, 2], eta),
+    "solve_2ncs_weighted": lambda eta: solve_2ncs_weighted(theta(), [0, 1, 2], HALF, eta),
+    "solve_kfst_unweighted": lambda eta: solve_kfst_unweighted(
+        FstInstance(mixed_five(), frozenset({0, 2})), eta
+    ),
+    "solve_kfst_weighted": lambda eta: solve_kfst_weighted(
+        FstInstance(mixed_five(), frozenset({0, 2})), HALF, eta
+    ),
+    "solve_2ecs": lambda eta: solve_2ecs(mixed_five(), [0, 2], None, eta),
+    "solve_2ecs_weighted": lambda eta: solve_2ecs(mixed_five(), [0, 2], HALF, eta),
+}
+
+
+@pytest.mark.parametrize("eta", [0, 5])
+@pytest.mark.parametrize("entry", sorted(ETA_ENTRY_POINTS))
+def test_eta_outside_the_unit_interval_is_rejected(entry, eta):
+    with pytest.raises(ValueError, match="eta"):
+        ETA_ENTRY_POINTS[entry](eta)
+    ETA_ENTRY_POINTS[entry](1)  # the closed end of (0, 1] is accepted
 
 
 def run_cli(capsys, *argv):
@@ -324,3 +353,12 @@ class TestCli:
         code, out, _ = run_cli(capsys, kind, path, "--eta", "1/3")
         assert code == 0
         assert json.loads(out)["stats"]["eta"] == "1/3"
+
+    @pytest.mark.parametrize("eta", ["0", "5"])
+    def test_eta_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, eta):
+        text = "cycle 3 3 2\nt 0\nt 1\n" + "".join(
+            f"e {i} {(i + 1) % 3} 1 S\n" for i in range(3)
+        )
+        code, out, err = run_cli(capsys, "cycle", write_instance(tmp_path, text), "--eta", eta)
+        assert code == 64 and not out
+        assert "eta must be in (0, 1]" in err

@@ -1,5 +1,6 @@
 """Cost scaling, rounding, and subdivision behind the weighted solvers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from survsteiner import (
     subgraph_nodes,
     weighted_steiner_cycle,
 )
+from survsteiner.scaling import prefix_feasible
 
 
 def triangle(costs=(1, 1, 1)):
@@ -166,3 +168,44 @@ class TestWeightedSteinerCycle:
             assert sol.cost <= (1 + eps) * ref.cost
             nodes = subgraph_nodes(g, sol.edges)
             assert set(terms) <= nodes
+
+
+def linear_threshold(g, terms, kind):
+    """Reference scan: the first cost-sorted prefix that is feasible."""
+    order = sorted(g.edge_ids(), key=lambda eid: (g.edge(eid).cost, eid))
+    for j in range(1, g.m + 1):
+        if prefix_feasible(g, terms, kind, order[:j]):
+            return j, g.edge(order[j - 1]).cost
+    return None
+
+
+class TestBinaryThresholdScan:
+    @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_linear_scan(self, kind, seed):
+        rng = random.Random(800 + seed)
+        n = rng.randrange(4, 9)
+        # costs 0-3: zero-cost edges and long runs of equal costs
+        specs = [
+            (u, v, rng.randrange(0, 4), rng.random() < 0.6)
+            for u, v in [(i, (i + 1) % n) for i in range(n)]
+            + [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, n + 2))]
+        ]
+        rng.shuffle(specs)
+        g = Graph.build(n, specs)
+        terms = rng.sample(range(n), rng.randrange(2, 4))
+        eps = Fraction(1, rng.choice((2, 10)))
+        ref = linear_threshold(g, terms, kind)
+        if ref is None:
+            with pytest.raises(Infeasible):
+                build_scaling_gadget(g, terms, eps, kind)
+            return
+        gadget = build_scaling_gadget(g, terms, eps, kind)
+        assert (gadget.threshold_index, gadget.beta) == ref
+        beta = ref[1]
+        mu = eps * beta / n
+        assert gadget.counts == {
+            eid: max(1, math.ceil(g.edge(eid).cost / mu)) if mu else 1
+            for eid in g.edge_ids()
+            if g.edge(eid).cost <= n * beta
+        }
