@@ -24,30 +24,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NoCycle, NoPath, TerminalMissing
 from .graph import Graph
-from .solution import Solution, checked_eta
-
-
-@dataclass(frozen=True)
-class CycleSolverParams:
-    """Failure budget, seed, and thread count of a cycle search.
-
-    All three are validated and otherwise unused: the engine is
-    deterministic, cannot fail, and runs on the calling thread.
-    """
-
-    eta: Fraction = Fraction(1, 100)
-    seed: int = 0
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", checked_eta(self.eta))
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+from .solution import Solution
 
 
 def _check_terminals(g: Graph, terms: list[int]) -> None:
@@ -299,12 +279,9 @@ def cycle_node_order(g: Graph, edges: Iterable[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def min_steiner_cycle(
-    g: Graph, terminals: Iterable[int], params: CycleSolverParams | None = None
-) -> Solution:
+def min_steiner_cycle(g: Graph, terminals: Iterable[int]) -> Solution:
     """Minimum-size simple cycle through all terminals: always a true
-    optimum. ``params`` never changes the answer (see CycleSolverParams).
-    Raises NoCycle when no simple cycle spans the terminals.
+    optimum. Raises NoCycle when no simple cycle spans the terminals.
     """
     _, eids, node_order = search_min_cycle(g, terminals)
     edges = frozenset(eids)
@@ -371,10 +348,8 @@ def min_steiner_path(
     terminals: Iterable[int],
     s: int,
     t: int,
-    params: CycleSolverParams | None = None,
 ) -> Solution:
-    """Minimum-size simple s,t-path through all terminals; raises NoPath.
-    ``params`` never changes the answer (see CycleSolverParams)."""
+    """Minimum-size simple s,t-path through all terminals; raises NoPath."""
     _, eids = search_min_path(g, terminals, s, t)
     edges = frozenset(eids)
     return Solution(

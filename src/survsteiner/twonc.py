@@ -11,10 +11,19 @@ minimum Steiner path per later part between its anchors. The smallest
 feasible candidate wins; ties break to the lexicographically smallest
 edge-id set.
 
+Two parts of the space are counted but never walked, because every
+candidate in them was offered before and the register only decreases,
+so none could update. A mirrored anchor pair (t, s) gets the same path as
+(s, t), which comes first, so its subtree is skipped. Subsets come
+smallest first, so an S that meets T repeats the ground T union S, and
+with it every configuration, of the smaller S - T; the ground's total is
+reused.
+
 The iteration counter counts every (S, partition, anchor vector) point
-exactly once, including points skipped wholesale after a failed or
-hopeless subcall (those are added in bulk), so it always equals the
-closed-form sum of anchor-pair products over all subsets and partitions.
+exactly once, walked or not: each partition adds its number of ordered
+anchor vectors and a repeated ground adds its first total, so it always
+equals the closed-form sum of anchor-pair products over all subsets and
+partitions.
 
 Subcall results are memoized by their arguments; with integer edge
 weights the same machinery solves the rounded-and-subdivided weighted
@@ -24,6 +33,7 @@ the calling thread in a fixed order, so every count repeats exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,33 +205,40 @@ def _solve_core(
         return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
 
     iterations = 0
+    ground_totals: dict[tuple[int, ...], int] = {}
     for subset_index, S in enumerate(subsets_up_to(range(g.n), bound)):
         if stop:
             break
-        ground = sorted(term_set | S)
+        ground = tuple(sorted(term_set | S))
+        if ground in ground_totals:
+            # S meets T, so the smaller S - T came first with this ground
+            # and the same configurations: nothing here can update
+            iterations += ground_totals[ground]
+            continue
+        ground_total = 0
         for partition in ordered_partitions(ground, k, 2):
             if stop:
                 break
             parts = partition.parts
             r = len(parts)
+            # one anchor pair s < t per unordered pair: a t-s path is an
+            # s-t path reversed, so the kernel gives the mirror the same
+            # (weight, edges) and its subtree only repeats candidates
+            # offered already; the count still covers both orders
             dims: list[list[tuple[int, int]]] = []
             pool = set(parts[0])
             for i in range(1, r):
                 nodes = sorted(pool)
-                dims.append([(s, t) for s in nodes for t in nodes if s != t])
+                dims.append([(s, t) for s in nodes for t in nodes if s < t])
                 pool |= parts[i]
-            suffix = [1] * (len(dims) + 1)
-            for j in range(len(dims) - 1, -1, -1):
-                suffix[j] = suffix[j + 1] * len(dims[j])
+            ground_total += math.prod(2 * len(d) for d in dims)
 
             cyc = calls.cycle(parts[0])
             if cyc is None:
-                iterations += suffix[0]
                 continue
 
-            def walk(idx: int, union: frozenset[int], weight: int) -> int:
+            def walk(idx: int, union: frozenset[int], weight: int) -> None:
                 nonlocal stop
-                done = 0
                 if idx == len(dims):
                     # feasibility is only ever tested on would-be updates
                     if incumbent.beats(weight, union) and feasible(union):
@@ -229,22 +246,21 @@ def _solve_core(
                             stats.updates.append((subset_index, weight))
                             if mode == "fast" and weight <= lower_bound:
                                 stop = True
-                    return 1
+                    return
                 part = parts[idx + 1]
                 for s, t in dims[idx]:
                     sub = calls.path(part, s, t)
                     if sub is None:
-                        done += suffix[idx + 1]
                         continue
                     added = sub[1] - union
                     nw = weight + sum(calls.w[e] for e in added)
                     if nw > incumbent.weight:
-                        done += suffix[idx + 1]
                         continue
-                    done += walk(idx + 1, union | sub[1], nw)
-                return done
+                    walk(idx + 1, union | sub[1], nw)
 
-            iterations += walk(0, cyc[1], cyc[0])
+            walk(0, cyc[1], cyc[0])
+        iterations += ground_total
+        ground_totals[ground] = ground_total
     stats.iterations += iterations
 
     final = incumbent.edges

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from survsteiner import (
-    CycleSolverParams,
     FstInstance,
     Graph,
     Infeasible,
@@ -24,7 +23,6 @@ from survsteiner import (
     SolveStats,
     apply_pendant_gadget,
     block_tree,
-    build_protected_table,
     condensed_block_tree,
     check_ear_decomposition,
     degree3_nodes,
@@ -33,7 +31,6 @@ from survsteiner import (
     is_2ec,
     is_2nc,
     min_protected_path,
-    min_steiner_cycle,
     oracle_min_subgraph,
     oracle_protected_all_pairs,
     ordered_bell,
@@ -459,8 +456,6 @@ def test_criterion_8_reproducibility(capsys):
                                         seed=3, threads=t),
         lambda t: solve_kfst_weighted(FstInstance(g4, frozenset({0, 1, 4})),
                                       Fraction(1, 4), seed=3, threads=t),
-        lambda t: min_steiner_cycle(g1, [0, 3, 5],
-                                    CycleSolverParams(seed=3, threads=t)),
     ]
     value_stable = edges_stable = 0
     for run in runs:

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from survsteiner import (
-    CycleSolverParams,
     Graph,
     Infeasible,
     NoCycle,
@@ -150,20 +149,6 @@ class TestMinSteinerCycle:
                     got = None
                 assert (got and got[:2]) == expect, (wterms, min_nodes)
 
-    def test_threads_do_not_change_the_answer(self):
-        rng = random.Random(99)
-        for _ in range(10):
-            g = random_connected(rng)
-            terms = rng.sample(range(g.n), 3)
-            try:
-                one = min_steiner_cycle(g, terms, CycleSolverParams(threads=1))
-            except NoCycle:
-                with pytest.raises(NoCycle):
-                    min_steiner_cycle(g, terms, CycleSolverParams(threads=3))
-                continue
-            three = min_steiner_cycle(g, terms, CycleSolverParams(threads=3))
-            assert one.edges == three.edges
-
     def test_lexicographic_tie_break(self):
         # two triangles hanging off terminals 0,1: ids {0,1,2} vs {0,3,4}
         g = Graph.build(
@@ -252,6 +237,13 @@ class TestMinSteinerPath:
                 except NoPath:
                     got = None
                 assert got == expect, (s, t, wterms)
+                # a t-s path is an s-t path reversed: the 2NCS scan skips
+                # mirrored anchor pairs on the strength of this
+                try:
+                    mirror = search_min_path(wg, wterms, t, s, weights)
+                except NoPath:
+                    mirror = None
+                assert mirror == got, (s, t, wterms)
 
 
 def chorded_multigraph(rng, unit):

@@ -7,17 +7,14 @@ from fractions import Fraction
 import pytest
 
 from survsteiner import (
-    CycleSolverParams,
     FstInstance,
     Graph,
-    Infeasible,
     ProblemKind,
     Solution,
     build_certificate,
     build_report,
     emit_report,
     min_steiner_cycle,
-    oracle_min_subgraph,
     solve_2ecs,
     solve_2ncs_unweighted,
     solve_2ncs_weighted,
@@ -152,7 +149,6 @@ class TestReports:
 
 HALF = Fraction(1, 2)
 ETA_ENTRY_POINTS = {
-    "CycleSolverParams": lambda eta: CycleSolverParams(eta=eta),
     "weighted_steiner_cycle": lambda eta: weighted_steiner_cycle(theta(), [0, 1], HALF, eta),
     "solve_2ncs_unweighted": lambda eta: solve_2ncs_unweighted(theta(), [0, 1, 2], eta),
     "solve_2ncs_weighted": lambda eta: solve_2ncs_weighted(theta(), [0, 1, 2], HALF, eta),

@@ -1,5 +1,7 @@
 """Marker-configuration assembly and the 2-node-connected solvers."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from survsteiner import (
     solve_2ncs_weighted,
     subgraph_nodes,
 )
+from survsteiner import twonc
+from survsteiner.enumeration import ordered_partitions, subsets_up_to
 
 
 def cycle_graph(n, cost=1):
@@ -266,3 +270,117 @@ class TestWeightedSolver:
             sol = solve_2ncs_weighted(g, terms, eps)
             assert sol.cost <= (1 + eps) * ref.cost
             assert is_2nc(g, edges=sol.edges)
+
+
+def ring_chords(rng, n, m):
+    """A shuffled Hamiltonian ring plus m - n random chords."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    specs = [(perm[i], perm[(i + 1) % n], 1, True) for i in range(n)]
+    while len(specs) < m:
+        u, v = rng.sample(range(n), 2)
+        specs.append((u, v, 1, True))
+    return Graph.build(n, specs)
+
+
+def reference_scan(g, terms, weights, mode, wide_subsets, stats):
+    """The configuration scan with nothing skipped: every subset S, every
+    ordered partition of T union S and every ordered anchor pair, pruned
+    only where a subcall fails or the partial union already outweighs the
+    incumbent, with those subtrees counted by their closed-form size."""
+    k = len(terms)
+    calls = twonc._Subcalls(g, weights, stats)
+    full = frozenset(g.edge_ids())
+    incumbent = twonc._Incumbent(calls._weigh(full), full)
+    term_set = set(terms)
+    bound = 2 * k if wide_subsets else max(2 * k - 4, 0)
+    stop = False
+
+    def feasible(edges):
+        return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
+
+    for index, S in enumerate(subsets_up_to(range(g.n), bound)):
+        if stop:
+            break
+        for partition in ordered_partitions(sorted(term_set | S), k, 2):
+            if stop:
+                break
+            parts = partition.parts
+            pools = [sorted(set().union(*parts[: i + 1])) for i in range(len(parts) - 1)]
+
+            def points(idx):
+                # anchor vectors below level idx
+                return math.prod(len(p) * (len(p) - 1) for p in pools[idx:])
+
+            def walk(idx, union, weight):
+                nonlocal stop
+                if idx == len(pools):
+                    stats.iterations += 1
+                    if incumbent.beats(weight, union) and feasible(union):
+                        if incumbent.offer(weight, union):
+                            stats.updates.append((index, weight))
+                            if mode == "fast" and weight <= max(3, k):
+                                stop = True
+                    return
+                for s, t in itertools.permutations(pools[idx], 2):
+                    sub = calls.path(parts[idx + 1], s, t)
+                    nw = None if sub is None else weight + calls._weigh(sub[1] - union)
+                    if nw is None or nw > incumbent.weight:
+                        stats.iterations += points(idx + 1)
+                        continue
+                    walk(idx + 1, union | sub[1], nw)
+
+            cyc = calls.cycle(parts[0])
+            if cyc is None:
+                stats.iterations += points(0)
+            else:
+                walk(0, cyc[1], cyc[0])
+    final = incumbent.edges
+    if final == full and not feasible(full):
+        raise Infeasible("no feasible candidate")
+    return incumbent.weight, final
+
+
+# graph sizes per (k, wide_subsets), with two seeds on the smallest: the
+# unskipped scan walks 4 M anchor vectors for k = 4 at n = 6, and with
+# wide subsets 2 M for k = 3 at n = 7 and 12 M at n = 8
+SCAN_SIZES = {(3, False): (6, 8), (3, True): (5, 6), (4, False): (5, 6), (4, True): (5,)}
+SCAN_CASES = [
+    (k, n, weighted, mode, wide, seed)
+    for (k, wide), sizes in SCAN_SIZES.items()
+    for n in sizes
+    for weighted in (False, True)
+    for mode in ("audit", "fast")
+    for seed in range(2 if n == 5 else 1)
+]
+
+
+class TestScanSkips:
+    """The scan skips mirrored anchor pairs and repeated grounds; against
+    a scan that skips neither, every answer and count matches and exactly
+    half of the path subcalls remain."""
+
+    @pytest.mark.parametrize("k,n,weighted,mode,wide,seed", SCAN_CASES)
+    def test_matches_the_full_scan(self, monkeypatch, k, n, weighted, mode, wide, seed):
+        rng = random.Random(f"scan-{k}-{n}-{weighted}-{mode}-{wide}-{seed}")
+        g = ring_chords(rng, n, n + rng.randrange(2, 5))
+        weights = {e: rng.randint(1, 4) for e in g.edge_ids()} if weighted else None
+        terms = sorted(rng.sample(range(n), k))
+        ref_stats, stats = SolveStats(), SolveStats()
+        ref = reference_scan(g, terms, weights, mode, wide, ref_stats)
+        grounds = []
+
+        def scanned(ground, *args):
+            grounds.append(tuple(ground))
+            return ordered_partitions(ground, *args)
+
+        monkeypatch.setattr(twonc, "ordered_partitions", scanned)
+        got = twonc._solve_core(
+            g, terms, weights=weights, mode=mode, wide_subsets=wide, stats=stats
+        )
+        assert got == ref
+        assert stats.iterations == ref_stats.iterations
+        assert stats.updates == ref_stats.updates
+        assert stats.subcalls.get("cycle_calls") == ref_stats.subcalls.get("cycle_calls")
+        assert 2 * stats.subcalls.get("path_calls", 0) == ref_stats.subcalls.get("path_calls", 0)
+        assert len(grounds) == len(set(grounds))  # each ground is scanned once
