@@ -26,15 +26,6 @@ class BlockTree:
     tree_edges: tuple[tuple[int, int], ...]
     cut_node_map: dict[int, tuple[int, ...]]
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.tree_edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
-
     def degree(self, i: int) -> int:
         return sum(1 for a, b in self.tree_edges if i in (a, b))
 

@@ -25,12 +25,7 @@ from .errors import (
     SpecInfeasible,
 )
 from .graph import Graph
-from .instance_io import (
-    cost_text,
-    generate_instance,
-    instance_kind,
-    parse_instance,
-)
+from .instance_io import cost_text, generate_instance, read_instance
 from .kfst import FstInstance, solve_2ecs, solve_kfst_unweighted, solve_kfst_weighted
 from .oracle import OracleBudget, oracle_min_subgraph
 from .report import build_report, emit_report
@@ -218,8 +213,7 @@ def _run_solve(args) -> int:
         print(f"survsteiner: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        inst = parse_instance(text)
-        header_kind = instance_kind(text)
+        header_kind, inst = read_instance(text)
     except ParseError as exc:
         print(f"survsteiner: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,10 +33,6 @@ class Ear:
     closed: bool
 
     @property
-    def is_open(self) -> bool:
-        return not self.closed
-
-    @property
     def internal_nodes(self) -> tuple[int, ...]:
         return self.nodes[1:-1]
 

@@ -2,33 +2,14 @@
 
 All streams are lazy, duplicate-free, and fully determined by their
 inputs, so solver runs are reproducible and iteration counts can be
-checked against closed forms (binomials, powers, ordered Bell numbers).
+checked against closed forms (binomials, ordered Bell numbers).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from math import comb
-
-from .errors import TooFewAnchors
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Disjoint non-empty parts, order significant.
-
-    Built from a ground multiset: duplicate values collapse inside each
-    part, so parts are plain node sets (and may repeat values across parts
-    only if the ground itself never did — position groups stay disjoint).
-    """
-
-    parts: tuple[frozenset[int], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
 
 
 def subsets_up_to(universe: Iterable[int], max_size: int) -> Iterator[frozenset[int]]:
@@ -45,57 +26,39 @@ def count_subsets_up_to(n: int, max_size: int) -> int:
     return sum(comb(n, i) for i in range(min(max_size, n) + 1))
 
 
-def tuples_with_replacement(universe: Iterable[int], length: int) -> Iterator[tuple[int, ...]]:
-    """All |universe|^length tuples, lexicographic over the sorted universe."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    yield from itertools.product(sorted(set(universe)), repeat=length)
-
-
 def ordered_partitions(
     ground: Iterable[int], max_parts: int, first_part_min: int = 0
-) -> Iterator[OrderedPartition]:
-    """Ordered partitions of a ground multiset into r <= max_parts parts.
+) -> Iterator[tuple[frozenset[int], ...]]:
+    """Ordered partitions of a ground set into r <= max_parts non-empty parts.
 
-    Positions of the ground are assigned to parts (every part non-empty),
-    values inside a part are collapsed to a set, and partitions that come
-    out identical after collapsing are emitted once. The first part must
-    keep at least ``first_part_min`` distinct values.
+    For r = 1, 2, ... in turn, partitions come in lexicographic order of
+    their position-to-part assignment over the sorted ground. The first
+    part keeps at least ``first_part_min`` nodes. A position goes only to
+    a part that can still be completed: the positions after it must cover
+    every part left empty and the first part's shortfall, so every branch
+    ends in a partition.
     """
-    items = tuple(ground)
-    if not items:
-        return
-    seen: set[tuple[frozenset[int], ...]] = set()
-    for r in range(1, max_parts + 1):
-        if r > len(items):
-            break
-        for assign in itertools.product(range(r), repeat=len(items)):
-            if len(set(assign)) != r:
-                continue
-            parts = tuple(
-                frozenset(items[i] for i, a in enumerate(assign) if a == p)
-                for p in range(r)
-            )
-            if len(parts[0]) < first_part_min:
-                continue
-            if parts in seen:
-                continue
-            seen.add(parts)
-            yield OrderedPartition(parts)
+    items = sorted(set(ground))
+    n = len(items)
+    first_min = max(first_part_min, 1)
+    for r in range(1, min(max_parts, n) + 1):
+        parts: list[list[int]] = [[] for _ in range(r)]
 
+        def place(i: int, need: int) -> Iterator[tuple[frozenset[int], ...]]:
+            # need: positions still owed to empty parts and to the first part
+            if i == n:
+                yield tuple(map(frozenset, parts))
+                return
+            left = n - i - 1
+            for p, part in enumerate(parts):
+                owed = len(part) < first_min if p == 0 else not part
+                if need - owed > left:
+                    continue
+                part.append(items[i])
+                yield from place(i + 1, need - owed)
+                part.pop()
 
-def anchor_pairs(parts_so_far: Iterable[frozenset[int]]) -> Iterator[tuple[int, int]]:
-    """All ordered pairs of distinct nodes from the union of the given parts."""
-    union: set[int] = set()
-    for part in parts_so_far:
-        union.update(part)
-    if len(union) < 2:
-        raise TooFewAnchors(f"anchor pool {sorted(union)} has fewer than 2 nodes")
-    pool = sorted(union)
-    for s in pool:
-        for t in pool:
-            if s != t:
-                yield (s, t)
+        yield from place(0, first_min + r - 1)
 
 
 def ordered_bell(i: int) -> int:

@@ -24,12 +24,6 @@ class TerminalMissing(SurvsteinerError):
     """A terminal is not a node of the graph or subgraph in question."""
 
 
-# -- enumeration -------------------------------------------------------------
-
-class TooFewAnchors(SurvsteinerError):
-    """Anchor pairs requested from a pool with fewer than two nodes."""
-
-
 # -- solvers -----------------------------------------------------------------
 
 class NoCycle(SurvsteinerError):
@@ -42,10 +36,6 @@ class NoPath(SurvsteinerError):
 
 class Infeasible(SurvsteinerError):
     """The instance admits no feasible solution."""
-
-
-class SubcallFailed(SurvsteinerError):
-    """A cycle/path/2NC subroutine failed inside a candidate assembly."""
 
 
 class NoProtectedPath(SurvsteinerError):

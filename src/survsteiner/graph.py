@@ -125,10 +125,6 @@ class Block:
         return len(self.edges) == 1
 
     @property
-    def is_degenerate(self) -> bool:
-        return not self.edges
-
-    @property
     def is_twonc(self) -> bool:
         """True for blocks that are 2-node-connected subgraphs themselves."""
         return len(self.nodes) >= 3
@@ -145,17 +141,6 @@ def _view(g: Graph, edges: Iterable[int] | None) -> tuple[list[int], list[int]]:
         nodes.add(e.u)
         nodes.add(e.v)
     return sorted(nodes), eids
-
-
-def adjacency(g: Graph, edges: Iterable[int] | None = None) -> dict[int, list[tuple[int, int]]]:
-    """Adjacency of the view: node -> [(edge id, other endpoint)] by edge id."""
-    nodes, eids = _view(g, edges)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
-    for eid in eids:
-        e = g.edges[eid]
-        adj[e.u].append((eid, e.v))
-        adj[e.v].append((eid, e.u))
-    return adj
 
 
 def subgraph_nodes(g: Graph, edges: Iterable[int]) -> frozenset[int]:

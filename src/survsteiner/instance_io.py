@@ -54,10 +54,12 @@ def _cost_token(tok: str, lineno: int) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"line {lineno}: bad cost {tok!r}") from exc
+        raise ParseError(f"bad cost {tok!r}", line=lineno) from exc
 
 
-def _parse(text: str) -> tuple[ProblemKind, FstInstance]:
+def read_instance(text: str) -> tuple[ProblemKind, FstInstance]:
+    """Parse instance text into the header's problem kind plus the graph
+    and terminal set."""
     header: tuple[ProblemKind, int, int, int] | None = None
     terms: list[int] = []
     edges: list[tuple[int, int, Fraction, bool]] = []
@@ -68,54 +70,54 @@ def _parse(text: str) -> tuple[ProblemKind, FstInstance]:
         toks = line.split()
         if header is None:
             if len(toks) != 4:
-                raise ParseError(f"line {lineno}: header must be '<kind> <n> <m> <k>'")
+                raise ParseError("header must be '<kind> <n> <m> <k>'", line=lineno)
             kind_tok = toks[0].lower()
             if kind_tok not in _KINDS:
-                raise ParseError(f"line {lineno}: unknown problem kind {toks[0]!r}")
+                raise ParseError(f"unknown problem kind {toks[0]!r}", line=lineno)
             try:
                 n, m, k = (int(t) for t in toks[1:])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer header field") from exc
+                raise ParseError("non-integer header field", line=lineno) from exc
             if n < 0 or m < 0 or k < 0:
-                raise SemanticError(f"line {lineno}: negative header field")
+                raise SemanticError("negative header field", line=lineno)
             header = (_KINDS[kind_tok], n, m, k)
             continue
         n = header[1]
         tag = toks[0].lower()
         if tag == "t":
             if len(toks) != 2:
-                raise ParseError(f"line {lineno}: terminal record must be 't <node>'")
+                raise ParseError("terminal record must be 't <node>'", line=lineno)
             try:
                 v = int(toks[1])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer terminal") from exc
+                raise ParseError("non-integer terminal", line=lineno) from exc
             if not 0 <= v < n:
-                raise SemanticError(f"line {lineno}: terminal {v} out of range")
+                raise SemanticError(f"terminal {v} out of range", line=lineno)
             if v in terms:
-                raise SemanticError(f"line {lineno}: duplicate terminal {v}")
+                raise SemanticError(f"duplicate terminal {v}", line=lineno)
             terms.append(v)
         elif tag == "e":
             if len(toks) != 5:
-                raise ParseError(f"line {lineno}: edge record must be 'e <u> <v> <cost> <S|U>'")
+                raise ParseError("edge record must be 'e <u> <v> <cost> <S|U>'", line=lineno)
             try:
                 u, v = int(toks[1]), int(toks[2])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-integer endpoint") from exc
+                raise ParseError("non-integer endpoint", line=lineno) from exc
             if not (0 <= u < n and 0 <= v < n):
-                raise SemanticError(f"line {lineno}: endpoint out of range")
+                raise SemanticError("endpoint out of range", line=lineno)
             if u == v:
-                raise SemanticError(f"line {lineno}: loop edges are not allowed")
+                raise SemanticError("loop edges are not allowed", line=lineno)
             cost = _cost_token(toks[3], lineno)
             if cost < 0:
-                raise SemanticError(f"line {lineno}: negative cost")
+                raise SemanticError("negative cost", line=lineno)
             flag = toks[4].upper()
             if flag not in ("S", "U"):
-                raise ParseError(f"line {lineno}: safety flag must be S or U")
+                raise ParseError("safety flag must be S or U", line=lineno)
             edges.append((u, v, cost, flag == "S"))
         else:
-            raise ParseError(f"line {lineno}: unknown record type {toks[0]!r}")
+            raise ParseError(f"unknown record type {toks[0]!r}", line=lineno)
     if header is None:
-        raise ParseError("line 1: missing header")
+        raise ParseError("missing header", line=1)
     kind, n, m, k = header
     if len(terms) != k:
         raise SemanticError(f"expected {k} terminals, found {len(terms)}")
@@ -126,12 +128,12 @@ def _parse(text: str) -> tuple[ProblemKind, FstInstance]:
 
 def parse_instance(text: str) -> FstInstance:
     """Parse instance text into a graph plus terminal set."""
-    return _parse(text)[1]
+    return read_instance(text)[1]
 
 
 def instance_kind(text: str) -> ProblemKind:
     """The problem kind named in the instance header."""
-    return _parse(text)[0]
+    return read_instance(text)[0]
 
 
 def emit_instance(inst: FstInstance, kind: ProblemKind) -> str:

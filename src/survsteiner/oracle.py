@@ -224,42 +224,6 @@ def oracle_min_subgraph(
     return Solution(edges=edges, cost=cost)
 
 
-def oracle_min_steiner_path(
-    g: Graph,
-    terminals,
-    s: int,
-    t: int,
-    weighted: bool = False,
-    budget: OracleBudget | None = None,
-) -> Solution:
-    """Exhaustive minimum simple s,t-path through all terminals."""
-    if s == t:
-        raise ValueError("path endpoints must differ")
-    budget = budget or OracleBudget()
-    budget.admit(g)
-    deadline = _Deadline(budget.max_millis)
-    terms = set(terminals) | {s, t}
-
-    def feasible(combo) -> bool:
-        if not combo:
-            return False
-        nodes = _covered_nodes(g, combo)
-        if not terms <= nodes:
-            return False
-        deg: dict[int, int] = {v: 0 for v in nodes}
-        for eid in combo:
-            e = g.edge(eid)
-            deg[e.u] += 1
-            deg[e.v] += 1
-        for v, d in deg.items():
-            if d != (1 if v in (s, t) else 2):
-                return False
-        return _uf_connected(g, nodes, combo)
-
-    cost, edges = _scan_subsets(g, feasible, lambda combo: False, weighted, deadline)
-    return Solution(edges=edges, cost=cost)
-
-
 def oracle_min_subgraph_bb(
     g: Graph,
     terminals,

@@ -38,18 +38,17 @@ from .solution import ProblemKind, Solution, SolveStats, checked_eta
 class ScalingGadget:
     """Everything produced by one threshold-and-round pass.
 
-    ``folded_graph`` keeps only surviving edges under fresh dense ids;
-    ``fold_origin[new_id]`` recovers the original id and ``counts`` gives
-    each original edge's subdivision length (the weight to use on the
-    folded graph).
+    ``folded_graph`` keeps only the edges costing at most n*beta, under
+    fresh dense ids; ``fold_origin[new_id]`` recovers the original id and
+    ``counts`` gives each kept original edge's subdivision length, the
+    weight to use on the folded graph (its rounded cost is ``mu`` times
+    that length).
     """
 
     beta: Fraction
     mu: Fraction
     threshold_index: int
-    rounded_costs: dict[int, Fraction]
     counts: dict[int, int]
-    surviving: tuple[int, ...]
     folded_graph: Graph
     fold_origin: tuple[int, ...]
 
@@ -149,21 +148,16 @@ def build_scaling_gadget(
     mu = eps * beta / n if beta > 0 else Fraction(0)
 
     counts: dict[int, int] = {}
-    rounded: dict[int, Fraction] = {}
     for eid in surviving:
         c = g.edges[eid].cost
-        t = max(1, math.ceil(c / mu)) if mu > 0 else 1
-        counts[eid] = t
-        rounded[eid] = mu * t
+        counts[eid] = max(1, math.ceil(c / mu)) if mu > 0 else 1
 
     folded, fold_origin = _restrict(g, list(surviving))
     return ScalingGadget(
         beta=beta,
         mu=mu,
         threshold_index=threshold,
-        rounded_costs=rounded,
         counts=counts,
-        surviving=surviving,
         folded_graph=folded,
         fold_origin=fold_origin,
     )

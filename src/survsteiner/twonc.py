@@ -4,12 +4,13 @@ The unweighted solver walks a three-level search space: candidate sets S
 of would-be degree-3 nodes (size at most 2k-4 by the structure bound, or
 2k with ``wide_subsets``), ordered partitions of T union S whose first
 part keeps at least two nodes, and one anchor pair per later part drawn
-from the union of earlier parts. Every configuration assembles a
-candidate subgraph: a minimum Steiner cycle through the first part (three
-nodes or more, since the target subgraph needs them) unioned with a
-minimum Steiner path per later part between its anchors. The smallest
-feasible candidate wins; ties break to the lexicographically smallest
-edge-id set.
+from the union of earlier parts. ``_solve_core``'s scan is the one place
+this space is built. Every configuration assembles a candidate subgraph:
+a minimum Steiner cycle through the first part (three nodes or more,
+since the target subgraph needs them) unioned with a minimum Steiner path
+per later part between its anchors. The smallest feasible candidate wins;
+ties break to the lexicographically smallest edge-id set, so the answer
+does not depend on the scan order, but the recorded updates do.
 
 Two parts of the space are counted but never walked, because every
 candidate in them was offered before and the register only decreases,
@@ -34,43 +35,14 @@ the calling thread in a fixed order, so every count repeats exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import SearchPrep, search_min_cycle, search_min_path
-from .enumeration import OrderedPartition, ordered_partitions, subsets_up_to
-from .errors import Infeasible, NoCycle, NoPath, SubcallFailed
+from .enumeration import ordered_partitions, subsets_up_to
+from .errors import Infeasible, NoCycle, NoPath
 from .graph import Graph, exact_fraction, is_2nc, subgraph_nodes
 from .scaling import build_scaling_gadget, prefix_feasible, record_gadget
 from .solution import ProblemKind, Solution, SolveStats, checked_eta
-
-
-@dataclass(frozen=True)
-class MarkerConfiguration:
-    """One point of the search space.
-
-    ``markers`` is S; the partition covers T union S with the first part
-    of size >= 2; ``anchors`` holds one (s, t) pair per part after the
-    first, each drawn from the union of the parts before it.
-    """
-
-    markers: frozenset[int]
-    partition: OrderedPartition
-    anchors: tuple[tuple[int, int], ...]
-
-    def validate(self) -> None:
-        parts = self.partition.parts
-        if not parts or len(parts[0]) < 2:
-            raise ValueError("first part must hold at least two marker nodes")
-        if len(self.anchors) != len(parts) - 1:
-            raise ValueError("need exactly one anchor pair per part after the first")
-        pool = set(parts[0])
-        for i, (s, t) in enumerate(self.anchors):
-            if s == t:
-                raise ValueError(f"anchor pair {i}: endpoints coincide")
-            if s not in pool or t not in pool:
-                raise ValueError(f"anchor pair {i}: endpoint outside earlier parts")
-            pool |= parts[i + 1]
 
 
 _MISS = object()
@@ -127,28 +99,6 @@ class _Subcalls:
         return result
 
 
-def assemble_candidate(g: Graph, cfg: MarkerConfiguration) -> Solution:
-    """Cycle through the first part plus one path per anchor pair.
-
-    The union is an edge set (overlaps collapse). Any failing subroutine
-    raises SubcallFailed so the caller can skip the configuration.
-    """
-    cfg.validate()
-    calls = _Subcalls(g, None, SolveStats())
-    got = calls.cycle(cfg.partition.parts[0])
-    if got is None:
-        raise SubcallFailed("no cycle through the first part")
-    edges = set(got[1])
-    for i, (s, t) in enumerate(cfg.anchors):
-        part = cfg.partition.parts[i + 1]
-        got = calls.path(part, s, t)
-        if got is None:
-            raise SubcallFailed(f"no {s}-{t} path through part {i + 1}")
-        edges |= got[1]
-    out = frozenset(edges)
-    return Solution(edges=out, cost=g.total_cost(out))
-
-
 class _Incumbent:
     """Minimum register: min by (weight, lexicographic edge tuple)."""
 
@@ -179,7 +129,6 @@ def _solve_core(
     mode: str = "audit",
     wide_subsets: bool = False,
     stats: SolveStats | None = None,
-    feasibility_checked: bool = False,
 ) -> tuple[int, frozenset[int]]:
     terms = sorted(set(terminals))
     k = len(terms)
@@ -187,9 +136,7 @@ def _solve_core(
         raise ValueError("the solver needs at least two terminals")
     if mode not in ("audit", "fast"):
         raise ValueError("mode must be 'audit' or 'fast'")
-    if not feasibility_checked and not prefix_feasible(
-        g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())
-    ):
+    if not prefix_feasible(g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())):
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
     stats = stats if stats is not None else SolveStats()
@@ -216,10 +163,9 @@ def _solve_core(
             iterations += ground_totals[ground]
             continue
         ground_total = 0
-        for partition in ordered_partitions(ground, k, 2):
+        for parts in ordered_partitions(ground, k, 2):
             if stop:
                 break
-            parts = partition.parts
             r = len(parts)
             # one anchor pair s < t per unordered pair: a t-s path is an
             # s-t path reversed, so the kernel gives the mirror the same
@@ -337,7 +283,6 @@ def solve_2ncs_weighted(
         mode=mode,
         wide_subsets=wide_subsets,
         stats=stats,
-        feasibility_checked=True,
     )
     edges = gadget.unfold(folded_edges)
     return Solution(

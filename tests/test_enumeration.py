@@ -1,27 +1,26 @@
-"""Search-space streams: subsets, tuples, ordered partitions, anchor pairs."""
+"""Search-space streams: subsets and ordered partitions."""
 
 from itertools import product
 from math import comb
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survsteiner import (
-    TooFewAnchors,
-    anchor_pairs,
     count_subsets_up_to,
     ordered_bell,
     ordered_partitions,
     subsets_up_to,
-    tuples_with_replacement,
 )
 
 
 def brute_ordered_partitions(items, max_parts, first_min):
-    """Independent enumeration via surjection assignments, for cross-checks."""
-    out = set()
-    for r in range(1, max_parts + 1):
+    """Independent enumeration via surjective assignments, in the order the
+    stream must follow: by part count, then lexicographic in the
+    position-to-part assignment over the sorted items."""
+    items = sorted(items)
+    out = []
+    for r in range(1, min(max_parts, len(items)) + 1):
         for assign in product(range(r), repeat=len(items)):
             if len(set(assign)) != r:
                 continue
@@ -30,7 +29,7 @@ def brute_ordered_partitions(items, max_parts, first_min):
                 for p in range(r)
             )
             if len(parts[0]) >= first_min:
-                out.add(parts)
+                out.append(parts)
     return out
 
 
@@ -58,24 +57,6 @@ class TestSubsets:
         assert sizes == sorted(sizes)
 
 
-class TestTuples:
-    def test_two_universe_length_two(self):
-        assert len(list(tuples_with_replacement([0, 1], 2))) == 4
-
-    def test_length_zero_is_one_empty_tuple(self):
-        assert list(tuples_with_replacement([3, 4], 0)) == [()]
-
-    def test_singleton_universe(self):
-        assert list(tuples_with_replacement([9], 3)) == [(9, 9, 9)]
-
-    def test_count_is_power(self):
-        for n in range(1, 5):
-            for length in range(4):
-                got = list(tuples_with_replacement(range(n), length))
-                assert len(got) == n**length
-                assert len(set(got)) == len(got)
-
-
 class TestOrderedPartitions:
     def test_three_elements_unconstrained_is_thirteen(self):
         got = list(ordered_partitions([0, 1, 2], 3))
@@ -83,22 +64,24 @@ class TestOrderedPartitions:
 
     def test_first_part_min_two_on_pair(self):
         got = list(ordered_partitions([0, 1], 2, first_part_min=2))
-        assert len(got) == 1
-        assert got[0].parts == (frozenset({0, 1}),)
+        assert got == [(frozenset({0, 1}),)]
 
     def test_single_element_with_first_min_two_is_empty(self):
         assert list(ordered_partitions([0], 2, first_part_min=2)) == []
 
     def test_matches_independent_enumeration(self):
-        for n in range(1, 5):
-            for max_parts in range(1, n + 1):
+        # the sequence, not just the set: the 2NCS scan's recorded updates
+        # and its count digest follow this order
+        for n in range(1, 7):
+            ground = [3 * i + 1 for i in range(n)]
+            for max_parts in range(1, 5):
                 for first_min in range(3):
-                    got = {
-                        p.parts
-                        for p in ordered_partitions(range(n), max_parts, first_min)
-                    }
-                    want = brute_ordered_partitions(range(n), max_parts, first_min)
+                    got = list(ordered_partitions(ground, max_parts, first_min))
+                    want = brute_ordered_partitions(ground, max_parts, first_min)
                     assert got == want
+        # a repeated value is one node: the ground is the set of values
+        got = list(ordered_partitions([7, 4, 7, 1], 3, 2))
+        assert got == brute_ordered_partitions([1, 4, 7], 3, 2)
 
     def test_counts_are_ordered_bell_numbers(self):
         # B(i) for unconstrained ordered set partitions, checked against an
@@ -111,39 +94,13 @@ class TestOrderedPartitions:
             stream = list(ordered_partitions(range(i), i))
             assert len(stream) == memo[i] == ordered_bell(i)
 
-    def test_duplicate_ground_values_collapse_inside_parts(self):
-        got = {p.parts for p in ordered_partitions([4, 4], 2)}
-        # positions split or merge, but values collapse: {4} alone or twice
-        assert got == {
-            (frozenset({4}),),
-            (frozenset({4}), frozenset({4})),
-        }
-
     def test_parts_disjoint_and_cover_for_set_grounds(self):
-        for p in ordered_partitions(range(5), 3, first_part_min=2):
+        for parts in ordered_partitions(range(5), 3, first_part_min=2):
             union = set()
-            for part in p.parts:
+            for part in parts:
                 assert part
                 assert not (union & part)
                 union |= part
             assert union == set(range(5))
-            assert len(p.parts[0]) >= 2
-            assert p.r <= 3
-
-
-class TestAnchorPairs:
-    def test_pair_universe(self):
-        assert sorted(anchor_pairs([frozenset({0, 1})])) == [(0, 1), (1, 0)]
-
-    def test_count_is_q_times_q_minus_one(self):
-        for q in range(2, 6):
-            parts = [frozenset(range(q))]
-            assert len(list(anchor_pairs(parts))) == q * (q - 1)
-
-    def test_single_node_pool_raises(self):
-        with pytest.raises(TooFewAnchors):
-            list(anchor_pairs([frozenset({3})]))
-
-    def test_pool_is_union_of_parts(self):
-        pairs = set(anchor_pairs([frozenset({0}), frozenset({5})]))
-        assert pairs == {(0, 5), (5, 0)}
+            assert len(parts[0]) >= 2
+            assert len(parts) <= 3

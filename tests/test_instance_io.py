@@ -19,6 +19,7 @@ from survsteiner import (
     instance_kind,
     oracle_feasible,
     parse_instance,
+    read_instance,
     solve_2ncs_unweighted,
 )
 from survsteiner.instance_io import _cost_token
@@ -44,6 +45,9 @@ class TestParsing:
         assert inst.graph.edge(2).cost == Fraction(1, 3)
         assert inst.graph.edge(1).safe is False
         assert instance_kind(TRIANGLE) is ProblemKind.CYCLE
+        kind, once = read_instance(TRIANGLE)
+        assert kind is ProblemKind.CYCLE
+        assert once.terminals == inst.terminals and once.graph.m == inst.graph.m
 
     def test_parallel_edge_lines_get_distinct_ids(self):
         text = "kfst 2 2 2\nt 0\nt 1\ne 0 1 1 U\ne 0 1 1 U\n"
@@ -95,6 +99,20 @@ class TestParsing:
         text = "cycle 2 1 2\nt 0\nt 0\ne 0 1 1 S\n"
         with pytest.raises(SemanticError, match="line 3"):
             parse_instance(text)
+
+    def test_errors_carry_their_line_number(self):
+        head = "cycle 3 2 2\n# a comment\nt 0\nt 2\n"
+        for record, error, message in [
+            ("e 0 1 x S", ParseError, "line 5: bad cost 'x'"),
+            ("e 0 7 1 S", SemanticError, "line 5: endpoint out of range"),
+        ]:
+            with pytest.raises(error) as info:
+                parse_instance(head + record + "\ne 1 2 1 S\n")
+            assert info.value.line == 5
+            assert str(info.value) == message
+        with pytest.raises(SemanticError) as info:
+            parse_instance(head + "e 0 1 1 S\n")
+        assert info.value.line is None  # a count mismatch has no one line
 
     def test_count_mismatches(self):
         with pytest.raises(SemanticError, match="terminals"):

@@ -1,4 +1,4 @@
-"""Marker-configuration assembly and the 2-node-connected solvers."""
+"""The 2-node-connected solvers and their configuration scan."""
 
 import itertools
 import math
@@ -10,12 +10,8 @@ import pytest
 from survsteiner import (
     Graph,
     Infeasible,
-    MarkerConfiguration,
-    OrderedPartition,
     ProblemKind,
     SolveStats,
-    SubcallFailed,
-    assemble_candidate,
     is_2nc,
     oracle_min_subgraph,
     solve_2ncs_unweighted,
@@ -47,14 +43,6 @@ def theta():
     )
 
 
-def cfg(parts, anchors=(), markers=()):
-    return MarkerConfiguration(
-        markers=frozenset(markers),
-        partition=OrderedPartition(tuple(frozenset(p) for p in parts)),
-        anchors=tuple(anchors),
-    )
-
-
 def random_graph(rng, n_lo=4, n_hi=8):
     n = rng.randrange(n_lo, n_hi)
     specs = [(i, (i + 1) % n, 1, True) for i in range(n)]
@@ -62,63 +50,6 @@ def random_graph(rng, n_lo=4, n_hi=8):
         u, v = rng.sample(range(n), 2)
         specs.append((u, v, 1, True))
     return Graph.build(n, specs)
-
-
-class TestMarkerConfiguration:
-    def test_valid_two_part_configuration(self):
-        cfg([(0, 1), (2,)], anchors=((0, 1),)).validate()
-
-    def test_first_part_must_hold_two_nodes(self):
-        with pytest.raises(ValueError):
-            cfg([(0,), (1,)], anchors=((0, 0),)).validate()
-
-    def test_anchor_count_must_match(self):
-        with pytest.raises(ValueError):
-            cfg([(0, 1), (2,)]).validate()
-
-    def test_anchor_endpoints_must_differ(self):
-        with pytest.raises(ValueError):
-            cfg([(0, 1), (2,)], anchors=((1, 1),)).validate()
-
-    def test_anchors_come_from_earlier_parts(self):
-        with pytest.raises(ValueError):
-            cfg([(0, 1), (2,), (3,)], anchors=((0, 1), (2, 3))).validate()
-        # node 2 enters the pool once its part is placed
-        cfg([(0, 1), (2,), (3,)], anchors=((0, 1), (2, 0))).validate()
-
-
-class TestAssembleCandidate:
-    def test_single_part_is_a_steiner_cycle(self):
-        sol = assemble_candidate(cycle_graph(3), cfg([(0, 1, 2)]))
-        assert sol.edges == frozenset({0, 1, 2})
-        assert sol.cost == 3
-
-    def test_theta_from_two_parts(self):
-        g = theta()
-        sol = assemble_candidate(g, cfg([(2, 3), (4,)], anchors=((2, 3),)))
-        # cycle 0-2-1-3-0 plus a 2..3 path through node 4: the whole theta
-        assert sol.edges == frozenset(range(6))
-        assert is_2nc(g, edges=sol.edges)
-
-    def test_unreachable_anchor_fails(self):
-        g = Graph.build(
-            6,
-            [(0, 1, 1, True), (1, 2, 1, True), (2, 0, 1, True),
-             (3, 4, 1, True), (4, 5, 1, True), (5, 3, 1, True)],
-        )
-        with pytest.raises(SubcallFailed):
-            assemble_candidate(g, cfg([(0, 1), (4,)], anchors=((0, 1),)))
-
-    def test_no_cycle_through_first_part_fails(self):
-        g = Graph.build(3, [(0, 1, 1, True), (1, 2, 1, True)])
-        with pytest.raises(SubcallFailed):
-            assemble_candidate(g, cfg([(0, 2)]))
-
-    def test_overlapping_pieces_collapse(self):
-        g = k4()
-        sol = assemble_candidate(g, cfg([(0, 1, 2), (3,)], anchors=((0, 2),)))
-        assert len(sol.edges) == len(set(sol.edges))
-        assert sol.cost == len(sol.edges)
 
 
 class TestUnweightedSolver:
@@ -302,10 +233,9 @@ def reference_scan(g, terms, weights, mode, wide_subsets, stats):
     for index, S in enumerate(subsets_up_to(range(g.n), bound)):
         if stop:
             break
-        for partition in ordered_partitions(sorted(term_set | S), k, 2):
+        for parts in ordered_partitions(sorted(term_set | S), k, 2):
             if stop:
                 break
-            parts = partition.parts
             pools = [sorted(set().union(*parts[: i + 1])) for i in range(len(parts) - 1)]
 
             def points(idx):
