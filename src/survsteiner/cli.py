@@ -30,7 +30,7 @@ from .kfst import FstInstance, solve_2ecs, solve_kfst_unweighted, solve_kfst_wei
 from .oracle import OracleBudget, oracle_min_subgraph
 from .report import build_report, emit_report
 from .scaling import weighted_steiner_cycle
-from .solution import ProblemKind, Solution, SolveStats, checked_eta
+from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import solve_2ncs_unweighted, solve_2ncs_weighted
 
 EXIT_OK = 0
@@ -231,7 +231,7 @@ def _run_solve(args) -> int:
         print("survsteiner: --epsilon must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:
-        checked_eta(args.eta)
+        stats = run_stats(None, args.seed, args.eta, args.threads)
     except ValueError as exc:
         print(f"survsteiner: --{exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -241,7 +241,6 @@ def _run_solve(args) -> int:
     if epsilon is None and not _uniform_costs(g):
         epsilon = Fraction(1, 10)
 
-    stats = SolveStats(seed=args.seed, eta=args.eta, threads=args.threads)
     started = time.perf_counter()
     try:
         sol = _dispatch(kind, g, inst.terminals, epsilon, args, stats)

@@ -283,13 +283,8 @@ def min_steiner_cycle(g: Graph, terminals: Iterable[int]) -> Solution:
     """Minimum-size simple cycle through all terminals: always a true
     optimum. Raises NoCycle when no simple cycle spans the terminals.
     """
-    _, eids, node_order = search_min_cycle(g, terminals)
-    edges = frozenset(eids)
-    return Solution(
-        edges=edges,
-        cost=g.total_cost(edges),
-        certificate={"kind": "cycle", "nodes": list(node_order)},
-    )
+    edges = frozenset(search_min_cycle(g, terminals)[1])
+    return Solution(edges=edges, cost=g.total_cost(edges))
 
 
 def search_min_path(
@@ -319,30 +314,6 @@ def search_min_path(
     return best[0], best[1]
 
 
-def path_node_order(g: Graph, edges: Iterable[int], s: int, t: int) -> tuple[int, ...]:
-    """Node order of a simple s,t-path given by its edge set."""
-    eids = sorted(set(edges))
-    inc: dict[int, list[int]] = {}
-    for eid in eids:
-        e = g.edge(eid)
-        inc.setdefault(e.u, []).append(eid)
-        inc.setdefault(e.v, []).append(eid)
-    if s not in inc or len(inc[s]) != 1:
-        raise ValueError("path does not start cleanly at s")
-    order = [s]
-    cur, used = s, set()
-    while cur != t or len(used) < len(eids):
-        step = [eid for eid in inc.get(cur, ()) if eid not in used]
-        if len(step) != 1:
-            raise ValueError("edge set is not a simple s,t-path")
-        used.add(step[0])
-        cur = g.edge(step[0]).other(cur)
-        order.append(cur)
-    if len(used) != len(eids):
-        raise ValueError("edge set is not a simple s,t-path")
-    return tuple(order)
-
-
 def min_steiner_path(
     g: Graph,
     terminals: Iterable[int],
@@ -350,10 +321,5 @@ def min_steiner_path(
     t: int,
 ) -> Solution:
     """Minimum-size simple s,t-path through all terminals; raises NoPath."""
-    _, eids = search_min_path(g, terminals, s, t)
-    edges = frozenset(eids)
-    return Solution(
-        edges=edges,
-        cost=g.total_cost(edges),
-        certificate={"kind": "path", "nodes": list(path_node_order(g, edges, s, t))},
-    )
+    edges = frozenset(search_min_path(g, terminals, s, t)[1])
+    return Solution(edges=edges, cost=g.total_cost(edges))

@@ -33,9 +33,9 @@ from .errors import (
     NoProtectedPath,
     NotModified,
 )
-from .graph import Graph, exact_fraction, is_connected, subgraph_nodes
-from .scaling import build_scaling_gadget, prefix_feasible, record_gadget
-from .solution import ProblemKind, Solution, SolveStats, checked_eta
+from .graph import Graph, is_connected, subgraph_nodes
+from .scaling import prefix_feasible, solve_scaled
+from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import _Incumbent, _solve_core, _Subcalls
 
 # Families are pruned against the incumbent only at batch starts.
@@ -98,7 +98,6 @@ def strip_pendant_gadget(inst: FstInstance, sol: Solution) -> Solution:
         cost=inst.graph.total_cost(remaining),
         optimal=sol.optimal,
         ratio_bound=sol.ratio_bound,
-        certificate=sol.certificate,
     )
 
 
@@ -412,9 +411,9 @@ def _kfst_core(
     weights: dict[int, int] | None = None,
     mode: str = "audit",
     stats: SolveStats | None = None,
-) -> tuple[int, frozenset[int]]:
-    """Shared search; returns (weight, edge set) in original edge ids
-    (pendant edges already stripped)."""
+) -> frozenset[int]:
+    """Shared search; returns the edge set in original edge ids (pendant
+    edges already stripped)."""
     if inst.modified:
         raise AlreadyModified("the solver applies its own pendant gadget")
     if mode not in ("audit", "fast"):
@@ -437,7 +436,7 @@ def _kfst_core(
         if found is None:
             raise Infeasible("no 1-protected path joins the two terminals")
         stats.iterations += 1
-        return table.cost(terms[0], terms[1]), found
+        return found
 
     mod = apply_pendant_gadget(inst)
     g2 = mod.graph
@@ -544,9 +543,7 @@ def _kfst_core(
     if final == full and not _survives(g2, full, term_set):
         raise Infeasible("no feasible candidate was assembled")
 
-    pendant_eids = {eid for _, eid in mod.pendant_map.values()}
-    stripped = frozenset(final - pendant_eids)
-    return incumbent.weight - sum(w2[e] for e in final & pendant_eids), stripped
+    return final - {eid for _, eid in mod.pendant_map.values()}
 
 
 def solve_kfst_unweighted(
@@ -561,11 +558,8 @@ def solve_kfst_unweighted(
     """Minimum-size edge set that keeps the terminals connected through
     any single unsafe-edge failure. Deterministic; ``eta``, ``seed`` and
     ``threads`` are only recorded in ``stats``."""
-    stats = stats if stats is not None else SolveStats()
-    stats.seed = seed
-    stats.eta = checked_eta(eta)
-    stats.threads = threads
-    _, edges = _kfst_core(inst, mode=mode, stats=stats)
+    stats = run_stats(stats, seed, eta, threads)
+    edges = _kfst_core(inst, mode=mode, stats=stats)
     return Solution(edges=edges, cost=inst.graph.total_cost(edges))
 
 
@@ -579,38 +573,19 @@ def solve_kfst_weighted(
     threads: int = 1,
     stats: SolveStats | None = None,
 ) -> Solution:
-    """(1+eps)-approximate minimum-cost survivable connection.
-
-    Rounds costs through the scaling gadget (subdivided edges inherit
-    safety, so a chain stands in for its unsafe original both ways),
-    solves one unweighted instance on the folded view, and maps back.
+    """(1+eps)-approximate minimum-cost survivable connection:
+    ``scaling.solve_scaled`` over ``_kfst_core`` (subdivided edges inherit
+    safety, so a chain stands in for its unsafe original both ways).
     ``eta``, ``seed`` and ``threads`` are only recorded in ``stats``.
     """
     if inst.modified:
         raise AlreadyModified("pass the unmodified instance")
-    eps = exact_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    stats = stats if stats is not None else SolveStats()
-    stats.seed = seed
-    stats.epsilon = eps
-    stats.eta = checked_eta(eta)
-    stats.threads = threads
-    gadget = build_scaling_gadget(inst.graph, inst.terminals, eps, ProblemKind.KFST)
-    record_gadget(stats, gadget)
-    fold_inst = FstInstance(gadget.folded_graph, inst.terminals)
-    _, folded = _kfst_core(
-        fold_inst,
-        weights=gadget.fold_weights(),
-        mode=mode,
-        stats=stats,
-    )
-    edges = gadget.unfold(folded)
-    return Solution(
-        edges=edges,
-        cost=inst.graph.total_cost(edges),
-        optimal=False,
-        ratio_bound=1 + eps,
+    stats = run_stats(stats, seed, eta, threads)
+    return solve_scaled(
+        inst.graph, inst.terminals, epsilon, ProblemKind.KFST, stats,
+        lambda folded, weights: _kfst_core(
+            FstInstance(folded, inst.terminals), weights=weights, mode=mode, stats=stats
+        ),
     )
 
 
@@ -627,25 +602,17 @@ def solve_2ecs(
 ) -> Solution:
     """2-edge-connected Steiner subgraphs: every edge treated as unsafe.
 
-    Relabels the graph all-unsafe and delegates; ``epsilon`` switches to
-    the weighted approximation.
+    Relabels the graph all-unsafe (same costs and edge ids) and delegates;
+    ``epsilon`` switches to the weighted approximation.
     """
     relabeled = Graph.build(
         g.n, [(e.u, e.v, e.cost, False) for e in g.edges]
     )
     inst = FstInstance(relabeled, frozenset(terminals))
     if epsilon is None:
-        sol = solve_kfst_unweighted(
+        return solve_kfst_unweighted(
             inst, eta, seed, mode=mode, threads=threads, stats=stats
         )
-    else:
-        sol = solve_kfst_weighted(
-            inst, epsilon, eta, seed, mode=mode, threads=threads, stats=stats
-        )
-    return Solution(
-        edges=sol.edges,
-        cost=g.total_cost(sol.edges),
-        optimal=sol.optimal,
-        ratio_bound=sol.ratio_bound,
-        certificate=sol.certificate,
+    return solve_kfst_weighted(
+        inst, epsilon, eta, seed, mode=mode, threads=threads, stats=stats
     )

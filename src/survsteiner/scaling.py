@@ -1,5 +1,8 @@
 """Cost scaling and edge subdivision: weighted problems on unit engines.
 
+``solve_scaled`` is the one FPTAS path; every weighted solver is a call
+into it with its own unweighted core.
+
 The recipe: sort edges by cost, find the shortest prefix that still
 contains a feasible solution, call its top cost beta, drop edges costing
 more than n*beta, round every surviving cost up to a multiple of
@@ -24,14 +27,14 @@ chain lengths is equivalent and far smaller. Its size is still reported.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import cycle_node_order, search_min_cycle, steiner_cycle_exists
+from .cycles import search_min_cycle, steiner_cycle_exists
 from .errors import Infeasible
 from .graph import Graph, blocks_and_cuts, connected_components, exact_fraction
-from .solution import ProblemKind, Solution, SolveStats, checked_eta
+from .solution import ProblemKind, Solution, SolveStats, run_stats
 
 
 @dataclass(frozen=True)
@@ -163,16 +166,34 @@ def build_scaling_gadget(
     )
 
 
-def record_gadget(stats: SolveStats | None, gadget: ScalingGadget) -> None:
-    """Record the gadget's sizes, including the node count of the
-    subdivided graph: every chain of t unit edges adds t - 1 nodes."""
-    if stats is None:
-        return
+def solve_scaled(
+    g: Graph,
+    terminals: Iterable[int],
+    epsilon,
+    kind: ProblemKind,
+    stats: SolveStats,
+    solve_folded: Callable[[Graph, dict[int, int]], Iterable[int]],
+) -> Solution:
+    """The one FPTAS: a (1+eps)-approximate solution of the weighted kind.
+
+    Records ``epsilon`` first, so even an infeasible instance reports it,
+    then builds the scaling gadget and records its sizes, including the
+    node count of the subdivided graph (every chain of t unit edges adds
+    t - 1 nodes). ``solve_folded(folded_graph, fold_weights)`` solves the
+    unweighted instance on the folded view and returns its edge ids, which
+    are mapped back to ``g``.
+    """
+    eps = stats.epsilon = exact_fraction(epsilon)
+    gadget = build_scaling_gadget(g, terminals, eps, kind)
     stats.threshold_index = gadget.threshold_index
     stats.beta = gadget.beta
     stats.mu = gadget.mu
     stats.subdivided_nodes = gadget.folded_graph.n + sum(
         t - 1 for t in gadget.counts.values()
+    )
+    edges = gadget.unfold(solve_folded(gadget.folded_graph, gadget.fold_weights()))
+    return Solution(
+        edges=edges, cost=g.total_cost(edges), optimal=False, ratio_bound=1 + eps
     )
 
 
@@ -184,28 +205,11 @@ def weighted_steiner_cycle(
     seed: int = 0,
     stats: SolveStats | None = None,
 ) -> Solution:
-    """(1+eps)-approximate minimum-cost Steiner cycle.
-
-    Builds the scaling gadget, solves one unweighted instance on its
-    folded view, and maps the edges back. ``eta`` and ``seed`` are only
-    recorded: the engine is deterministic.
-    """
-    eps = exact_fraction(epsilon)
-    eta = checked_eta(eta)
-    gadget = build_scaling_gadget(g, terminals, eps, ProblemKind.CYCLE)
-    record_gadget(stats, gadget)
-    _, folded_eids, _ = search_min_cycle(
-        gadget.folded_graph, terminals, weights=gadget.fold_weights()
-    )
-    edges = gadget.unfold(folded_eids)
-    if stats is not None:
-        stats.epsilon = eps
-        stats.eta = eta
-        stats.seed = seed
-    return Solution(
-        edges=edges,
-        cost=g.total_cost(edges),
-        optimal=False,
-        ratio_bound=1 + eps,
-        certificate={"kind": "cycle", "nodes": list(cycle_node_order(g, edges))},
+    """(1+eps)-approximate minimum-cost Steiner cycle through
+    ``solve_scaled``. ``eta`` and ``seed`` are only recorded: the engine is
+    deterministic."""
+    stats = run_stats(stats, seed, eta)
+    return solve_scaled(
+        g, terminals, epsilon, ProblemKind.CYCLE, stats,
+        lambda folded, weights: search_min_cycle(folded, terminals, weights=weights)[1],
     )

@@ -22,17 +22,16 @@ class ProblemKind(str, Enum):
 class Solution:
     """An edge subset of an input graph together with its total cost.
 
-    ``optimal`` is True for the exact solvers; the scaling-based weighted
-    solvers return ``optimal=False`` with ``ratio_bound = 1 + eps``.
-    ``certificate`` is an optional JSON-able structural witness (cycle node
-    order, ear decomposition, or condensed block tree with protected paths).
+    ``optimal`` is True for the exact solvers; the weighted solvers, all
+    of which run through ``scaling.solve_scaled``, return ``optimal=False``
+    with ``ratio_bound = 1 + eps``. Structural certificates are built from
+    the edge set by ``report.build_certificate``.
     """
 
     edges: frozenset[int]
     cost: Fraction
     optimal: bool = True
     ratio_bound: Fraction | None = None
-    certificate: dict | None = None
 
     @property
     def size(self) -> int:
@@ -71,13 +70,21 @@ class SolveStats:
         self.subcalls[name] = self.subcalls.get(name, 0) + inc
 
 
-def checked_eta(value) -> Fraction:
-    """The failure budget as an exact fraction; ValueError outside (0, 1].
+def run_stats(
+    stats: SolveStats | None, seed: int, eta, threads: int | None = None
+) -> SolveStats:
+    """The stats of one solver call (a fresh one if None) with its run
+    settings recorded; ValueError when ``eta`` is outside (0, 1]. A
+    ``threads`` of None keeps the count already recorded.
 
-    Every entry point that accepts ``eta`` checks it here, although the
-    deterministic engine only records it.
+    Every entry point that accepts ``eta`` and ``seed`` starts here,
+    although the deterministic engine only records them.
     """
-    eta = exact_fraction(value)
+    eta = exact_fraction(eta)
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
-    return eta
+    stats = stats if stats is not None else SolveStats()
+    stats.seed, stats.eta = seed, eta
+    if threads is not None:
+        stats.threads = threads
+    return stats

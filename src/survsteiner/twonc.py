@@ -1,10 +1,10 @@
 """Exact minimum 2-node-connected Steiner subgraphs, and their FPTAS.
 
 The unweighted solver walks a three-level search space: candidate sets S
-of would-be degree-3 nodes (size at most 2k-4 by the structure bound, or
-2k with ``wide_subsets``), ordered partitions of T union S whose first
-part keeps at least two nodes, and one anchor pair per later part drawn
-from the union of earlier parts. ``_solve_core``'s scan is the one place
+of would-be degree-3 nodes (size at most 2k-4 by the structure bound),
+ordered partitions of T union S whose first part keeps at least two
+nodes, and one anchor pair per later part drawn from the union of
+earlier parts. ``_solve_core``'s scan is the one place
 this space is built. Every configuration assembles a candidate subgraph:
 a minimum Steiner cycle through the first part (three nodes or more,
 since the target subgraph needs them) unioned with a minimum Steiner path
@@ -28,8 +28,9 @@ partitions.
 
 Subcall results are memoized by their arguments; with integer edge
 weights the same machinery solves the rounded-and-subdivided weighted
-instance without ever materialising subdivision chains. The scan runs on
-the calling thread in a fixed order, so every count repeats exactly.
+instance of ``scaling.solve_scaled`` without ever materialising
+subdivision chains. The scan runs on the calling thread in a fixed
+order, so every count repeats exactly.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from fractions import Fraction
 from .cycles import SearchPrep, search_min_cycle, search_min_path
 from .enumeration import ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath
-from .graph import Graph, exact_fraction, is_2nc, subgraph_nodes
-from .scaling import build_scaling_gadget, prefix_feasible, record_gadget
-from .solution import ProblemKind, Solution, SolveStats, checked_eta
+from .graph import Graph, is_2nc, subgraph_nodes
+from .scaling import prefix_feasible, solve_scaled
+from .solution import ProblemKind, Solution, SolveStats, run_stats
 
 
 _MISS = object()
@@ -127,7 +128,6 @@ def _solve_core(
     *,
     weights: dict[int, int] | None = None,
     mode: str = "audit",
-    wide_subsets: bool = False,
     stats: SolveStats | None = None,
 ) -> tuple[int, frozenset[int]]:
     terms = sorted(set(terminals))
@@ -145,7 +145,7 @@ def _solve_core(
     incumbent = _Incumbent(calls._weigh(full), full)
     lower_bound = max(3, k)
     term_set = set(terms)
-    bound = 2 * k if wide_subsets else max(2 * k - 4, 0)
+    bound = max(2 * k - 4, 0)
     stop = False  # fast mode: an update reached the lower bound
 
     def feasible(edges: frozenset[int]) -> bool:
@@ -224,7 +224,6 @@ def solve_2ncs_unweighted(
     *,
     mode: str = "audit",
     threads: int = 1,
-    wide_subsets: bool = False,
     stats: SolveStats | None = None,
 ) -> Solution:
     """Minimum-size 2-node-connected subgraph containing the terminals.
@@ -233,17 +232,8 @@ def solve_2ncs_unweighted(
     ``stats``. Raises Infeasible when the terminals do not share a block
     of at least three nodes.
     """
-    stats = stats if stats is not None else SolveStats()
-    stats.seed = seed
-    stats.eta = checked_eta(eta)
-    stats.threads = threads
-    _, edges = _solve_core(
-        g,
-        terminals,
-        mode=mode,
-        wide_subsets=wide_subsets,
-        stats=stats,
-    )
+    stats = run_stats(stats, seed, eta, threads)
+    _, edges = _solve_core(g, terminals, mode=mode, stats=stats)
     return Solution(edges=edges, cost=g.total_cost(edges))
 
 
@@ -256,38 +246,17 @@ def solve_2ncs_weighted(
     *,
     mode: str = "audit",
     threads: int = 1,
-    wide_subsets: bool = False,
     stats: SolveStats | None = None,
 ) -> Solution:
-    """(1+eps)-approximate minimum-cost 2-node-connected Steiner subgraph.
-
-    Cost-sorts and rounds through the scaling gadget, solves one
-    unweighted instance on the folded view (integer weights stand in for
-    subdivision chains), and maps edge ids back. ``eta``, ``seed`` and
-    ``threads`` are only recorded in ``stats``.
+    """(1+eps)-approximate minimum-cost 2-node-connected Steiner subgraph:
+    ``scaling.solve_scaled`` over ``_solve_core``, whose integer weights
+    stand in for subdivision chains. ``eta``, ``seed`` and ``threads`` are
+    only recorded in ``stats``.
     """
-    eps = exact_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    stats = stats if stats is not None else SolveStats()
-    stats.seed = seed
-    stats.epsilon = eps
-    stats.eta = checked_eta(eta)
-    stats.threads = threads
-    gadget = build_scaling_gadget(g, terminals, eps, ProblemKind.TWO_NCS)
-    record_gadget(stats, gadget)
-    _, folded_edges = _solve_core(
-        gadget.folded_graph,
-        terminals,
-        weights=gadget.fold_weights(),
-        mode=mode,
-        wide_subsets=wide_subsets,
-        stats=stats,
-    )
-    edges = gadget.unfold(folded_edges)
-    return Solution(
-        edges=edges,
-        cost=g.total_cost(edges),
-        optimal=False,
-        ratio_bound=1 + eps,
+    stats = run_stats(stats, seed, eta, threads)
+    return solve_scaled(
+        g, terminals, epsilon, ProblemKind.TWO_NCS, stats,
+        lambda folded, weights: _solve_core(
+            folded, terminals, weights=weights, mode=mode, stats=stats
+        )[1],
     )

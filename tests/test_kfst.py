@@ -28,6 +28,7 @@ from survsteiner import (
     solve_kfst_weighted,
     strip_pendant_gadget,
 )
+from survsteiner.instance_io import read_instance
 
 
 def mixed_five() -> Graph:
@@ -261,6 +262,49 @@ class TestUnweightedSolver:
         sol = solve_kfst_unweighted(FstInstance(g, frozenset(terms)))
         assert len(sol.edges) == len(ref.edges)
         assert oracle_feasible(g, sol.edges, terms, ProblemKind.KFST)
+
+
+# Request 90 of the benchmark's kfst-mixed workload at seed 0: unit costs,
+# n = 11, m = 15, terminals {2, 3, 6}
+TIE_BREAK_TEXT = """kfst 11 15 3
+t 2
+t 3
+t 6
+e 1 7 1 S
+e 7 2 1 S
+e 2 0 1 S
+e 0 6 1 U
+e 6 9 1 S
+e 9 10 1 U
+e 10 8 1 S
+e 8 4 1 S
+e 4 5 1 S
+e 5 3 1 S
+e 3 1 1 S
+e 7 10 1 U
+e 0 1 1 S
+e 4 6 1 S
+e 1 7 1 S
+"""
+TIE_BREAK_EDGES = frozenset({0, 1, 8, 9, 10, 13})
+
+
+class TestTieBreak:
+    def test_the_oracle_optimum_and_the_solver_cost(self):
+        inst = read_instance(TIE_BREAK_TEXT)[1]
+        ref = oracle_min_subgraph(inst.graph, sorted(inst.terminals), ProblemKind.KFST)
+        assert ref.edges == TIE_BREAK_EDGES and ref.cost == 6
+        assert solve_kfst_unweighted(inst).cost == 6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="family_bound is not admissible and families are pruned per "
+        "batch, so the scan skips the family that yields the lexicographically "
+        "smallest optimum and returns [2, 8, 9, 10, 12, 13] (ROADMAP item C)",
+    )
+    def test_ties_break_to_the_smallest_edge_set(self):
+        inst = read_instance(TIE_BREAK_TEXT)[1]
+        assert solve_kfst_unweighted(inst).edges == TIE_BREAK_EDGES
 
 
 class TestTwoEdgeConnected:

@@ -2,7 +2,9 @@
 
 import json
 import random
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -11,6 +13,7 @@ from survsteiner import (
     Graph,
     ProblemKind,
     Solution,
+    SolveStats,
     build_certificate,
     build_report,
     emit_report,
@@ -148,27 +151,63 @@ class TestReports:
 
 
 HALF = Fraction(1, 2)
-ETA_ENTRY_POINTS = {
-    "weighted_steiner_cycle": lambda eta: weighted_steiner_cycle(theta(), [0, 1], HALF, eta),
-    "solve_2ncs_unweighted": lambda eta: solve_2ncs_unweighted(theta(), [0, 1, 2], eta),
-    "solve_2ncs_weighted": lambda eta: solve_2ncs_weighted(theta(), [0, 1, 2], HALF, eta),
-    "solve_kfst_unweighted": lambda eta: solve_kfst_unweighted(
-        FstInstance(mixed_five(), frozenset({0, 2})), eta
-    ),
-    "solve_kfst_weighted": lambda eta: solve_kfst_weighted(
-        FstInstance(mixed_five(), frozenset({0, 2})), HALF, eta
-    ),
-    "solve_2ecs": lambda eta: solve_2ecs(mixed_five(), [0, 2], None, eta),
-    "solve_2ecs_weighted": lambda eta: solve_2ecs(mixed_five(), [0, 2], HALF, eta),
+
+
+class Entry(NamedTuple):
+    weighted: bool
+    threads: int  # the count it records: weighted_steiner_cycle takes none
+    call: Callable  # (epsilon, eta, stats) -> Solution, with seed 7
+
+
+ENTRY_POINTS = {
+    "weighted_steiner_cycle": Entry(True, 1, lambda eps, eta, st: weighted_steiner_cycle(
+        theta(), [0, 1], eps, eta, 7, stats=st)),
+    "solve_2ncs_unweighted": Entry(False, 2, lambda eps, eta, st: solve_2ncs_unweighted(
+        theta(), [0, 1, 2], eta, 7, threads=2, stats=st)),
+    "solve_2ncs_weighted": Entry(True, 2, lambda eps, eta, st: solve_2ncs_weighted(
+        theta(), [0, 1, 2], eps, eta, 7, threads=2, stats=st)),
+    "solve_kfst_unweighted": Entry(False, 2, lambda eps, eta, st: solve_kfst_unweighted(
+        FstInstance(mixed_five(), frozenset({0, 2})), eta, 7, threads=2, stats=st)),
+    "solve_kfst_weighted": Entry(True, 2, lambda eps, eta, st: solve_kfst_weighted(
+        FstInstance(mixed_five(), frozenset({0, 2})), eps, eta, 7, threads=2, stats=st)),
+    "solve_2ecs": Entry(False, 2, lambda eps, eta, st: solve_2ecs(
+        mixed_five(), [0, 2], None, eta, 7, threads=2, stats=st)),
+    "solve_2ecs_weighted": Entry(True, 2, lambda eps, eta, st: solve_2ecs(
+        mixed_five(), [0, 2], eps, eta, 7, threads=2, stats=st)),
 }
+WEIGHTED_ENTRY_POINTS = sorted(name for name, e in ENTRY_POINTS.items() if e.weighted)
 
 
-@pytest.mark.parametrize("eta", [0, 5])
-@pytest.mark.parametrize("entry", sorted(ETA_ENTRY_POINTS))
+@pytest.mark.parametrize("eta", [0, 5, Fraction(3, 2)], ids=["0", "5", "3/2"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_eta_outside_the_unit_interval_is_rejected(entry, eta):
-    with pytest.raises(ValueError, match="eta"):
-        ETA_ENTRY_POINTS[entry](eta)
-    ETA_ENTRY_POINTS[entry](1)  # the closed end of (0, 1] is accepted
+    call = ENTRY_POINTS[entry].call
+    with pytest.raises(ValueError, match="eta must be in"):
+        call(HALF, eta, None)
+    call(HALF, 1, None)  # the closed end of (0, 1] is accepted
+
+
+@pytest.mark.parametrize("epsilon", [0, Fraction(-1, 2)], ids=["0", "-1/2"])
+@pytest.mark.parametrize("entry", WEIGHTED_ENTRY_POINTS)
+def test_every_weighted_entry_point_checks_epsilon(entry, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        ENTRY_POINTS[entry].call(epsilon, 1, SolveStats())
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_records_its_run(entry):
+    weighted, threads, call = ENTRY_POINTS[entry]
+    stats = SolveStats()
+    sol = call(HALF, Fraction(1, 3), stats)
+    assert (stats.seed, stats.eta, stats.threads) == (7, Fraction(1, 3), threads)
+    if weighted:
+        # unit costs on 5 nodes: beta = 1 and mu = eps * beta / n
+        assert (stats.epsilon, stats.beta, stats.mu) == (HALF, 1, HALF / 5)
+        assert stats.threshold_index >= 1
+        assert sol.optimal is False and sol.ratio_bound == 1 + HALF
+    else:
+        assert (stats.epsilon, stats.beta, stats.mu, stats.threshold_index) == (None,) * 4
+        assert sol.optimal is True and sol.ratio_bound is None
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +388,15 @@ class TestCli:
         code, out, _ = run_cli(capsys, kind, path, "--eta", "1/3")
         assert code == 0
         assert json.loads(out)["stats"]["eta"] == "1/3"
+
+    @pytest.mark.parametrize("kind", ["cycle", "2ncs", "2ecs", "kfst"])
+    def test_infeasible_weighted_report_records_epsilon(self, tmp_path, capsys, kind):
+        text = "cycle 4 3 2\nt 0\nt 3\ne 0 1 1 U\ne 1 2 2 U\ne 2 3 3 U\n"
+        code, out, _ = run_cli(capsys, kind, write_instance(tmp_path, text))
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "infeasible"
+        assert report["stats"]["epsilon"] == "0.1"
 
     @pytest.mark.parametrize("eta", ["0", "5"])
     def test_eta_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys, eta):

@@ -16,6 +16,7 @@ from survsteiner import (
     subgraph_nodes,
     weighted_steiner_cycle,
 )
+from survsteiner.cycles import cycle_node_order
 from survsteiner.scaling import prefix_feasible
 
 
@@ -132,7 +133,7 @@ class TestWeightedSteinerCycle:
         g = square_with_diagonal()
         sol = weighted_steiner_cycle(g, [0, 1, 2], Fraction(1, 2))
         assert sol.edges <= set(g.edge_ids())
-        assert set(sol.certificate["nodes"]) <= set(range(g.n))
+        assert {0, 1, 2} <= set(cycle_node_order(g, sol.edges))
 
     def test_stats_record_the_gadget(self):
         g = square_with_diagonal()

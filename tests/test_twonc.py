@@ -93,20 +93,6 @@ class TestUnweightedSolver:
         assert sizes == sorted(sizes, reverse=True)
         assert stats.iterations > 0
 
-    def test_wide_subsets_matches_default(self):
-        rng = random.Random(11)
-        for _ in range(6):
-            g = random_graph(rng, n_hi=7)
-            terms = rng.sample(range(g.n), 3)
-            try:
-                narrow = solve_2ncs_unweighted(g, terms)
-            except Infeasible:
-                with pytest.raises(Infeasible):
-                    solve_2ncs_unweighted(g, terms, wide_subsets=True)
-                continue
-            wide = solve_2ncs_unweighted(g, terms, wide_subsets=True)
-            assert narrow.edges == wide.edges
-
     def test_fast_mode_matches_audit_size(self):
         rng = random.Random(12)
         for _ in range(6):
@@ -214,23 +200,23 @@ def ring_chords(rng, n, m):
     return Graph.build(n, specs)
 
 
-def reference_scan(g, terms, weights, mode, wide_subsets, stats):
-    """The configuration scan with nothing skipped: every subset S, every
-    ordered partition of T union S and every ordered anchor pair, pruned
-    only where a subcall fails or the partial union already outweighs the
-    incumbent, with those subtrees counted by their closed-form size."""
+def reference_scan(g, terms, weights, mode, subset_bound, stats):
+    """The configuration scan with nothing skipped: every subset S of at
+    most ``subset_bound`` nodes, every ordered partition of T union S and
+    every ordered anchor pair, pruned only where a subcall fails or the
+    partial union already outweighs the incumbent, with those subtrees
+    counted by their closed-form size."""
     k = len(terms)
     calls = twonc._Subcalls(g, weights, stats)
     full = frozenset(g.edge_ids())
     incumbent = twonc._Incumbent(calls._weigh(full), full)
     term_set = set(terms)
-    bound = 2 * k if wide_subsets else max(2 * k - 4, 0)
     stop = False
 
     def feasible(edges):
         return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
 
-    for index, S in enumerate(subsets_up_to(range(g.n), bound)):
+    for index, S in enumerate(subsets_up_to(range(g.n), subset_bound)):
         if stop:
             break
         for parts in ordered_partitions(sorted(term_set | S), k, 2):
@@ -271,9 +257,10 @@ def reference_scan(g, terms, weights, mode, wide_subsets, stats):
     return incumbent.weight, final
 
 
-# graph sizes per (k, wide_subsets), with two seeds on the smallest: the
-# unskipped scan walks 4 M anchor vectors for k = 4 at n = 6, and with
-# wide subsets 2 M for k = 3 at n = 7 and 12 M at n = 8
+# graph sizes per (k, wide), with two seeds on the smallest; a wide case
+# lets the reference scan subsets of up to 2k nodes instead of the
+# structure bound's 2k - 4. The unskipped scan walks 4 M anchor vectors for
+# k = 4 at n = 6, and a wide one 2 M for k = 3 at n = 7 and 12 M at n = 8
 SCAN_SIZES = {(3, False): (6, 8), (3, True): (5, 6), (4, False): (5, 6), (4, True): (5,)}
 SCAN_CASES = [
     (k, n, weighted, mode, wide, seed)
@@ -288,7 +275,9 @@ SCAN_CASES = [
 class TestScanSkips:
     """The scan skips mirrored anchor pairs and repeated grounds; against
     a scan that skips neither, every answer and count matches and exactly
-    half of the path subcalls remain."""
+    half of the path subcalls remain. Against a reference that also scans
+    subsets beyond the structure bound (``wide``), the answer matches: the
+    bound loses none."""
 
     @pytest.mark.parametrize("k,n,weighted,mode,wide,seed", SCAN_CASES)
     def test_matches_the_full_scan(self, monkeypatch, k, n, weighted, mode, wide, seed):
@@ -297,7 +286,8 @@ class TestScanSkips:
         weights = {e: rng.randint(1, 4) for e in g.edge_ids()} if weighted else None
         terms = sorted(rng.sample(range(n), k))
         ref_stats, stats = SolveStats(), SolveStats()
-        ref = reference_scan(g, terms, weights, mode, wide, ref_stats)
+        bound = 2 * k if wide else 2 * k - 4
+        ref = reference_scan(g, terms, weights, mode, bound, ref_stats)
         grounds = []
 
         def scanned(ground, *args):
@@ -305,12 +295,12 @@ class TestScanSkips:
             return ordered_partitions(ground, *args)
 
         monkeypatch.setattr(twonc, "ordered_partitions", scanned)
-        got = twonc._solve_core(
-            g, terms, weights=weights, mode=mode, wide_subsets=wide, stats=stats
-        )
+        got = twonc._solve_core(g, terms, weights=weights, mode=mode, stats=stats)
         assert got == ref
+        assert len(grounds) == len(set(grounds))  # each ground is scanned once
+        if wide:
+            return  # the wider reference scans more, so its counts differ
         assert stats.iterations == ref_stats.iterations
         assert stats.updates == ref_stats.updates
         assert stats.subcalls.get("cycle_calls") == ref_stats.subcalls.get("cycle_calls")
         assert 2 * stats.subcalls.get("path_calls", 0) == ref_stats.subcalls.get("path_calls", 0)
-        assert len(grounds) == len(set(grounds))  # each ground is scanned once
