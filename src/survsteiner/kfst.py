@@ -16,6 +16,9 @@ tree over 1-protected paths: connections that themselves survive any
 single unsafe failure, i.e. chains of safe edges and two-edge-disjoint
 path pairs. The cheapest feasible assembly over all families wins.
 
+One Floyd-Warshall table of those paths serves a whole request: the
+join reads its set-to-set links, which the table keeps, so the
+terminal-terminal links are found once rather than once per family.
 Families are evaluated in order of a cheap bound, in batches of fixed
 size, on the calling thread.
 """
@@ -33,7 +36,7 @@ from .errors import (
     NoProtectedPath,
     NotModified,
 )
-from .graph import Graph, is_connected, subgraph_nodes
+from .graph import Graph, blocks_and_cuts, is_connected, subgraph_nodes
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import _Incumbent, _solve_core, _Subcalls
@@ -102,36 +105,26 @@ def strip_pendant_gadget(inst: FstInstance, sol: Solution) -> Solution:
 
 
 def _two_disjoint_paths(
-    g: Graph, a: int, b: int, w: list[int]
+    net: tuple[list[int], list[int], list[int], list[list[int]]], a: int, b: int
 ) -> tuple[int, frozenset[int]] | None:
     """Minimum total weight of two edge-disjoint a-b paths, or None.
 
-    Two rounds of successive shortest augmenting paths on the usual
-    undirected-to-directed encoding. All weights are >= 1, so a minimum
-    cost flow never sends a unit both ways along one edge and the two
-    units decompose into genuinely edge-disjoint paths.
+    Two rounds of successive shortest augmenting paths on the residual
+    network of ``_protected_arcs``, whose capacities start afresh here.
+    All weights are >= 1, so a minimum cost flow never sends a unit both
+    ways along one edge and the two units decompose into genuinely
+    edge-disjoint paths. An end of degree below 2 (every pendant node)
+    has no such pair; each incident edge lists two arcs at its node.
     """
-    if a == b:
+    head, cost, eid, out = net
+    if a == b or len(out[a]) < 4 or len(out[b]) < 4:
         return None
-    # arcs: [head, cap, cost, eid]; arc i^1 is the residual twin of arc i
-    arcs: list[list[int]] = []
-    out: list[list[int]] = [[] for _ in range(g.n)]
-
-    def add(u: int, v: int, cost: int, eid: int) -> None:
-        out[u].append(len(arcs))
-        arcs.append([v, 1, cost, eid])
-        out[v].append(len(arcs))
-        arcs.append([u, 0, -cost, eid])
-
-    for e in g.edges:
-        add(e.u, e.v, w[e.id], e.id)
-        add(e.v, e.u, w[e.id], e.id)
-
+    cap = [1, 0] * (len(head) // 2)
     total = 0
     for _ in range(2):
         # Bellman-Ford over the residual graph (negative residual costs)
-        dist = [None] * g.n
-        pre: list[int] = [-1] * g.n
+        dist: list[int | None] = [None] * len(out)
+        pre: list[int] = [-1] * len(out)
         dist[a] = 0
         frontier = {a}
         while frontier:
@@ -139,14 +132,14 @@ def _two_disjoint_paths(
             for u in frontier:
                 du = dist[u]
                 for ai in out[u]:
-                    head, cap, cost, _ = arcs[ai]
-                    if cap <= 0:
+                    if cap[ai] <= 0:
                         continue
-                    cand = du + cost
-                    if dist[head] is None or cand < dist[head]:
-                        dist[head] = cand
-                        pre[head] = ai
-                        nxt.add(head)
+                    v = head[ai]
+                    cand = du + cost[ai]
+                    if dist[v] is None or cand < dist[v]:
+                        dist[v] = cand
+                        pre[v] = ai
+                        nxt.add(v)
             frontier = nxt
         if dist[b] is None:
             return None
@@ -154,15 +147,12 @@ def _two_disjoint_paths(
         v = b
         while v != a:
             ai = pre[v]
-            arcs[ai][1] -= 1
-            arcs[ai ^ 1][1] += 1
-            v = arcs[ai ^ 1][0]
-
-    used = set()
-    for ai in range(0, len(arcs), 2):
-        if arcs[ai][1] == 0:  # forward capacity consumed
-            used.add(arcs[ai][3])
-    return total, frozenset(used)
+            cap[ai] -= 1
+            cap[ai ^ 1] += 1
+            v = head[ai ^ 1]
+    # a consumed forward capacity marks a used edge
+    used = frozenset(eid[ai] for ai in range(0, len(cap), 2) if cap[ai] == 0)
+    return total, used
 
 
 def _protected_arcs(
@@ -174,9 +164,22 @@ def _protected_arcs(
     2-edge-connected blocks, and the cheapest block through two nodes is
     a pair of edge-disjoint paths. So one segment is either a safe edge
     or such a pair; chains of segments are left to the table builder.
+    The residual network of the pair search is built once per graph:
+    both directions of every edge, each followed by its zero-capacity
+    twin (arc i ^ 1).
     """
     arcs: dict[tuple[int, int], tuple[int, frozenset[int]]] = {}
+    head: list[int] = []
+    cost: list[int] = []
+    eid: list[int] = []
+    out: list[list[int]] = [[] for _ in range(g.n)]
     for e in g.edges:
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            out[u].append(len(head))
+            out[v].append(len(head) + 1)
+            head += (v, u)
+            cost += (w[e.id], -w[e.id])
+            eid += (e.id, e.id)
         if not e.safe or e.u == e.v:
             continue
         key = (min(e.u, e.v), max(e.u, e.v))
@@ -185,8 +188,9 @@ def _protected_arcs(
         if old is None or (cand[0], sorted(cand[1])) < (old[0], sorted(old[1])):
             arcs[key] = cand
 
+    net = (head, cost, eid, out)
     for pair in itertools.combinations(range(g.n), 2):
-        got = _two_disjoint_paths(g, pair[0], pair[1], w)
+        got = _two_disjoint_paths(net, pair[0], pair[1])
         if got is None:
             continue
         old = arcs.get(pair)
@@ -197,25 +201,40 @@ def _protected_arcs(
 
 @dataclass
 class ProtectedPathTable:
-    """All-pairs minimum 1-protected paths; missing pair = no protection.
+    """All-pairs minimum 1-protected paths: ``dist[u][v]`` is the weight
+    and ``pay[u][v]`` the edge set, both None when no protection exists.
 
     Symmetric, zero on the diagonal, and every stored edge set really
     keeps its endpoints connected through any single unsafe failure.
+    ``link`` answers set-to-set queries and keeps them, so one table
+    serves every family of a request.
     """
 
-    size: int
-    weight: dict[frozenset[int], int]
-    edges: dict[frozenset[int], frozenset[int]]
+    dist: list[list[int | None]]
+    pay: list[list[frozenset[int] | None]]
+    links: dict[tuple[frozenset[int], frozenset[int]], tuple[int, int, int] | None] = (
+        field(default_factory=dict, repr=False)
+    )
 
     def cost(self, u: int, v: int) -> int | None:
-        if u == v:
-            return 0
-        return self.weight.get(frozenset((u, v)))
+        return self.dist[u][v]
 
     def path(self, u: int, v: int) -> frozenset[int] | None:
-        if u == v:
-            return frozenset()
-        return self.edges.get(frozenset((u, v)))
+        return self.pay[u][v]
+
+    def link(self, a: frozenset[int], b: frozenset[int]) -> tuple[int, int, int] | None:
+        """Cheapest ``(weight, u, v)`` with u in a and v in b, the
+        smallest such triple on ties; None when no pair is protected.
+        Overlapping sets link at weight 0 through a shared node."""
+        key = (a, b)
+        got = self.links.get(key, _MISS)
+        if got is _MISS:
+            dist = self.dist
+            got = self.links[key] = min(
+                ((dist[u][v], u, v) for u in a for v in b if dist[u][v] is not None),
+                default=None,
+            )
+        return got
 
 
 def build_protected_table(
@@ -248,15 +267,7 @@ def build_protected_table(
                 if row[j] is None or alt < row[j]:
                     row[j] = dist[j][i] = alt
                     pay[i][j] = pay[j][i] = pay[i][mid] | pay[mid][j]
-    weight: dict[frozenset[int], int] = {}
-    edges: dict[frozenset[int], frozenset[int]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] is not None:
-                key = frozenset((i, j))
-                weight[key] = dist[i][j]
-                edges[key] = pay[i][j]
-    return ProtectedPathTable(size=n, weight=weight, edges=edges)
+    return ProtectedPathTable(dist, pay)
 
 
 def min_protected_path(g: Graph, u: int, v: int) -> Solution:
@@ -274,65 +285,30 @@ def min_protected_path(g: Graph, u: int, v: int) -> Solution:
     return Solution(edges=found, cost=g.total_cost(found))
 
 
-@dataclass
-class AuxiliaryGraphK:
-    """Complete graph over the parts and the terminal singletons.
-
-    Edge weights follow the min-over-pairs rule on the protected-path
-    table, are 0 when the two node sets overlap, and None when no pair
-    has any protection; finite edges carry their realizing edge set.
-    """
-
-    nodes: tuple[frozenset[int], ...]
-    weight: dict[tuple[int, int], int | None]
-    payload: dict[tuple[int, int], frozenset[int] | None]
-    part_count: int
-
-
-def build_auxiliary_k(
+def mst_join(
     table: ProtectedPathTable, parts, terminals
-) -> AuxiliaryGraphK:
-    part_list = [frozenset(p) for p in parts]
-    for p in part_list:
-        if not p:
-            raise ValueError("empty part")
-    term_list = sorted(set(terminals))
-    nodes = tuple(part_list + [frozenset({t}) for t in term_list])
-    weight: dict[tuple[int, int], int | None] = {}
-    payload: dict[tuple[int, int], frozenset[int] | None] = {}
+) -> tuple[int, frozenset[int]]:
+    """Kruskal over the parts and the terminal singletons, linked by
+    ``table.link``: the spanning-tree weight and the union of its
+    realizing paths.
+
+    The weight is the tree total in the table metric; the edge union
+    can only be cheaper when realizing paths overlap. Links tie by node
+    index (parts in order, then the sorted terminals). Raises ValueError
+    on an empty part and InfiniteMst when the links do not span.
+    """
+    nodes = [frozenset(p) for p in parts]
+    if not all(nodes):
+        raise ValueError("empty part")
+    nodes += [frozenset((t,)) for t in sorted(set(terminals))]
+    links = []
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if nodes[i] & nodes[j]:
-                weight[(i, j)] = 0
-                payload[(i, j)] = frozenset()
-                continue
-            best: tuple[int, int, int] | None = None
-            for u in sorted(nodes[i]):
-                for v in sorted(nodes[j]):
-                    c = table.cost(u, v)
-                    if c is not None and (best is None or (c, u, v) < best):
-                        best = (c, u, v)
-            if best is None:
-                weight[(i, j)] = None
-                payload[(i, j)] = None
-            else:
-                weight[(i, j)] = best[0]
-                payload[(i, j)] = table.path(best[1], best[2])
-    return AuxiliaryGraphK(nodes, weight, payload, len(part_list))
-
-
-def mst_join(k_graph: AuxiliaryGraphK) -> Solution:
-    """Union of realizing paths over a minimum spanning tree of K.
-
-    The reported cost is the spanning-tree total in the table metric;
-    the edge union can only be cheaper when realizing paths overlap.
-    Raises InfiniteMst when the finite edges do not span K.
-    """
-    count = len(k_graph.nodes)
-    finite = sorted(
-        (w, ij) for ij, w in k_graph.weight.items() if w is not None
-    )
-    parent = list(range(count))
+            got = table.link(nodes[i], nodes[j])
+            if got is not None:
+                links.append((got[0], i, j, got[1], got[2]))
+    links.sort()
+    parent = list(range(len(nodes)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -343,39 +319,30 @@ def mst_join(k_graph: AuxiliaryGraphK) -> Solution:
     edges: set[int] = set()
     total = 0
     joined = 0
-    for w, (i, j) in finite:
+    for w, i, j, u, v in links:
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
         parent[ri] = rj
-        edges |= k_graph.payload[(i, j)]
+        edges |= table.pay[u][v]
         total += w
         joined += 1
-        if joined == count - 1:
-            break
-    if joined != count - 1:
-        raise InfiniteMst("no finite spanning tree in the auxiliary graph")
-    return Solution(edges=frozenset(edges), cost=Fraction(total))
+    if joined != len(nodes) - 1:
+        raise InfiniteMst("the protected links do not span the parts and terminals")
+    return total, frozenset(edges)
 
 
 def _survives(g: Graph, edges: frozenset[int], terms: set[int]) -> bool:
-    """Terminals covered, connected, and connected minus any unsafe edge.
+    """Terminals covered, connected, and no unsafe bridge.
 
-    The node set stays fixed while edges are deleted: orphaning a
-    covered node counts as a disconnection.
+    Deleting a non-bridge edge keeps every covered node connected;
+    deleting a bridge disconnects the subgraph or orphans a leaf, which
+    counts as a disconnection too.
     """
-    if not edges:
+    if not edges or not terms <= subgraph_nodes(g, edges) or not is_connected(g, edges):
         return False
-    nodes = subgraph_nodes(g, edges)
-    if not terms <= nodes or not is_connected(g, edges):
-        return False
-    for eid in edges:
-        if g.edges[eid].safe:
-            continue
-        rest = edges - {eid}
-        if not rest or not is_connected(g, rest, nodes):
-            return False
-    return True
+    _, _, bridges = blocks_and_cuts(g, edges)
+    return all(g.edges[eid].safe for eid in bridges)
 
 
 def _part_families(universe: list[int], k: int):
@@ -446,7 +413,10 @@ def _kfst_core(
     w2 = w0 + [1] * k  # pendant edges weigh one unit each
 
     table = build_protected_table(g2, w2)
-    stats.count("protected_pairs", len(table.weight))
+    stats.count(
+        "protected_pairs",
+        sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :]),
+    )
     universe = list(range(g0.n))
 
     full = frozenset(g2.edge_ids())
@@ -487,16 +457,15 @@ def _kfst_core(
     families = list(_part_families(universe, k))
     stats.iterations += len(families)
 
-    def family_bound(parts) -> tuple[int, object] | None:
-        kg = build_auxiliary_k(table, parts, t2)
+    def family_bound(parts) -> tuple[int, frozenset[int]] | None:
         try:
-            tree = mst_join(kg)
+            weight, tree = mst_join(table, parts, t2)
         except InfiniteMst:
             return None
         part_lb = sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
-        return int(tree.cost) + part_lb, tree
+        return weight + part_lb, tree
 
-    bounded: list[tuple[int, int, tuple, Solution]] = []
+    bounded: list[tuple[int, int, tuple, frozenset[int]]] = []
     for index, parts in enumerate(families):
         got = family_bound(parts)
         if got is None:
@@ -506,7 +475,7 @@ def _kfst_core(
 
     def evaluate(item) -> tuple[int, frozenset[int]] | None:
         _, _, parts, tree = item
-        union = set(tree.edges)
+        union = set(tree)
         for part in parts:
             if len(part) == 1:
                 continue

@@ -1,4 +1,5 @@
-"""Pendant gadget, protected paths, the auxiliary graph, and the solvers."""
+"""Pendant gadget, protected paths, the join over parts and terminals,
+the survivability test, and the solvers."""
 
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from survsteiner import (
     NotModified,
     ProblemKind,
     Solution,
+    SolveStats,
     apply_pendant_gadget,
-    build_auxiliary_k,
     build_protected_table,
     min_protected_path,
     mst_join,
@@ -29,6 +30,7 @@ from survsteiner import (
     strip_pendant_gadget,
 )
 from survsteiner.instance_io import read_instance
+from survsteiner.kfst import _survives
 
 
 def mixed_five() -> Graph:
@@ -144,38 +146,51 @@ class TestProtectedPaths:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_table_matches_all_pairs_oracle(self, seed):
+        # the pendant graph adds degree-1 nodes, which no pair search reaches
         rng = random.Random(seed)
         g = random_mixed(rng, n_hi=7)
-        table = build_protected_table(g)
-        ref = oracle_protected_all_pairs(g)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                key = frozenset((u, v))
-                got = table.cost(u, v)
-                if key not in ref:
-                    assert got is None
-                    continue
-                assert got == ref[key].cost
-                found = table.path(u, v)
-                assert oracle_feasible(g, found, [u, v], ProblemKind.KFST)
-                assert len(found) == ref[key].cost
+        inst = FstInstance(g, frozenset(rng.sample(range(g.n), 3)))
+        pendant = apply_pendant_gadget(inst).graph
+        for graph in (g, pendant):
+            table = build_protected_table(graph)
+            ref = oracle_protected_all_pairs(graph)
+            for u in range(graph.n):
+                for v in range(u + 1, graph.n):
+                    key = frozenset((u, v))
+                    got = table.cost(u, v)
+                    if key not in ref:
+                        assert got is None
+                        continue
+                    assert got == ref[key].cost
+                    found = table.path(u, v)
+                    assert oracle_feasible(graph, found, [u, v], ProblemKind.KFST)
+                    assert len(found) == ref[key].cost
+        stats = SolveStats()
+        solve_kfst_unweighted(inst, stats=stats)
+        assert stats.subcalls["protected_pairs"] == len(ref)
 
 
 class TestAuxiliaryGraph:
+    """The complete graph over the parts and the terminal singletons, as
+    ``mst_join`` reads it from ``ProtectedPathTable.link``."""
+
     def test_one_part_three_terminals_is_complete_on_four(self):
         g = Graph.build(
             4,
             [(0, 1, 1, True), (1, 2, 1, True), (2, 3, 1, True), (3, 0, 1, True)],
         )
-        aux = build_auxiliary_k(build_protected_table(g), [{0}], [1, 2, 3])
-        assert len(aux.nodes) == 4 and aux.part_count == 1
-        assert len(aux.weight) == 6
+        table = build_protected_table(g)
+        assert mst_join(table, [{0}], [1, 2, 3]) == (3, frozenset({0, 1, 3}))
+        assert len(table.links) == 6
+        # a second family with the same terminals reuses every link
+        assert mst_join(table, [{0}], [1, 2, 3]) == (3, frozenset({0, 1, 3}))
+        assert len(table.links) == 6
 
     def test_overlap_means_free_edge(self):
         g = Graph.build(2, [(0, 1, 1, True)])
-        aux = build_auxiliary_k(build_protected_table(g), [{0, 1}], [0])
-        assert aux.weight[(0, 1)] == 0
-        assert aux.payload[(0, 1)] == frozenset()
+        table = build_protected_table(g)
+        assert table.link(frozenset({0, 1}), frozenset({0})) == (0, 0, 0)
+        assert mst_join(table, [{0, 1}], [0]) == (0, frozenset())
 
     def test_min_over_pairs_rule(self):
         # part {0,1} reaches terminal 3 through the cheaper endpoint
@@ -183,21 +198,18 @@ class TestAuxiliaryGraph:
             4,
             [(0, 1, 1, True), (1, 2, 1, True), (2, 3, 1, True), (0, 3, 1, True)],
         )
-        aux = build_auxiliary_k(build_protected_table(g), [{0, 1}], [3])
-        assert aux.weight[(0, 1)] == 1
-        assert aux.payload[(0, 1)] == frozenset({3})
+        table = build_protected_table(g)
+        assert table.link(frozenset({0, 1}), frozenset({3})) == (1, 0, 3)
+        assert mst_join(table, [{0, 1}], [3]) == (1, frozenset({3}))
 
     def test_empty_part_refused(self):
         g = Graph.build(2, [(0, 1, 1, True)])
         with pytest.raises(ValueError):
-            build_auxiliary_k(build_protected_table(g), [set()], [0])
+            mst_join(build_protected_table(g), [set()], [0])
 
     def test_mst_join_unions_realizing_paths(self):
         g = Graph.build(3, [(0, 1, 1, True), (1, 2, 1, True)])
-        aux = build_auxiliary_k(build_protected_table(g), [{1}], [0, 2])
-        sol = mst_join(aux)
-        assert sol.edges == frozenset({0, 1})
-        assert sol.cost == 2
+        assert mst_join(build_protected_table(g), [{1}], [0, 2]) == (2, frozenset({0, 1}))
 
     def test_mst_join_without_spanning_edges(self):
         g = Graph.build(
@@ -205,9 +217,36 @@ class TestAuxiliaryGraph:
             [(0, 1, 1, True), (1, 2, 1, True), (2, 0, 1, True),
              (3, 4, 1, True), (4, 5, 1, True), (5, 3, 1, True)],
         )
-        aux = build_auxiliary_k(build_protected_table(g), [{0}], [4])
+        table = build_protected_table(g)
+        assert table.link(frozenset({0}), frozenset({4})) is None
         with pytest.raises(InfiniteMst):
-            mst_join(aux)
+            mst_join(table, [{0}], [4])
+
+
+class TestSurvives:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_oracle_on_random_subsets(self, seed):
+        rng = random.Random(300 + seed)
+        base = random_mixed(rng, n_hi=7)
+        specs = [(e.u, e.v, 1, e.safe) for e in base.edges]
+        for _ in range(2):  # parallel unsafe copies of two edges
+            u, v, _, _ = rng.choice(specs)
+            specs.append((u, v, 1, False))
+        g = Graph.build(base.n, specs)
+        terms = set(rng.sample(range(g.n), 3))
+        verdicts = set()
+        for _ in range(300):
+            edges = frozenset(e for e in g.edge_ids() if rng.random() < 0.7)
+            got = _survives(g, edges, terms)
+            assert got == oracle_feasible(g, edges, terms, ProblemKind.KFST)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_parallel_unsafe_pair_is_no_bridge(self):
+        g = Graph.build(3, [(0, 1, 1, True), (1, 2, 1, False), (1, 2, 1, False)])
+        assert _survives(g, frozenset({0, 1, 2}), {0, 2})
+        assert not _survives(g, frozenset({0, 1}), {0, 2})
+        assert not _survives(g, frozenset(), {0})
 
 
 class TestUnweightedSolver:
@@ -289,12 +328,52 @@ e 1 7 1 S
 TIE_BREAK_EDGES = frozenset({0, 1, 8, 9, 10, 13})
 
 
+# The join minimizes the sum of table costs, not the weight of the edge
+# union, so even a scan of every family misses this optimum: the solver's
+# tree [0, 3, 6, 7, 8, 10, 11] and the oracle's both weigh 7.
+UNION_TIE_TEXT = """kfst 9 12 3
+t 1
+t 4
+t 5
+e 7 1 1 U
+e 1 3 1 U
+e 3 8 1 S
+e 8 4 1 S
+e 4 2 1 S
+e 2 5 1 S
+e 5 6 1 S
+e 6 0 1 S
+e 0 7 1 S
+e 6 5 1 U
+e 8 0 1 S
+e 0 1 1 U
+"""
+UNION_TIE_EDGES = frozenset({0, 3, 4, 5, 8, 10, 11})
+
+
 class TestTieBreak:
     def test_the_oracle_optimum_and_the_solver_cost(self):
         inst = read_instance(TIE_BREAK_TEXT)[1]
         ref = oracle_min_subgraph(inst.graph, sorted(inst.terminals), ProblemKind.KFST)
         assert ref.edges == TIE_BREAK_EDGES and ref.cost == 6
         assert solve_kfst_unweighted(inst).cost == 6
+
+    def test_union_tie_oracle_optimum_and_solver_cost(self):
+        inst = read_instance(UNION_TIE_TEXT)[1]
+        ref = oracle_min_subgraph(inst.graph, sorted(inst.terminals), ProblemKind.KFST)
+        assert ref.edges == UNION_TIE_EDGES and ref.cost == 7
+        assert solve_kfst_unweighted(inst).cost == 7
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="mst_join ranks trees by the sum of their table costs, not by "
+        "the weight of their edge union, so no family order reaches the "
+        "lexicographically smallest optimum; the solver returns "
+        "[0, 3, 6, 7, 8, 10, 11] (ROADMAP item C)",
+    )
+    def test_union_weight_ties_break_to_the_smallest_edge_set(self):
+        inst = read_instance(UNION_TIE_TEXT)[1]
+        assert solve_kfst_unweighted(inst).edges == UNION_TIE_EDGES
 
     @pytest.mark.xfail(
         strict=True,
@@ -305,6 +384,43 @@ class TestTieBreak:
     def test_ties_break_to_the_smallest_edge_set(self):
         inst = read_instance(TIE_BREAK_TEXT)[1]
         assert solve_kfst_unweighted(inst).edges == TIE_BREAK_EDGES
+
+
+def k23_variant(rng):
+    """K_{2,3} with its degree-2 nodes as terminals, plus up to three
+    Steiner nodes on two edges each, mixed safety and shuffled labels.
+    Every variant is 2-edge-connected, so both kinds are feasible."""
+    pairs = [(a, x) for a in (0, 1) for x in (2, 3, 4)]
+    n = 5 + rng.randrange(0, 4)
+    for extra in range(5, n):
+        pairs += [(extra, v) for v in rng.sample(range(extra), 2)]
+    label = list(range(n))
+    rng.shuffle(label)
+    specs = [(label[u], label[v], 1, rng.random() >= 0.5) for u, v in pairs]
+    return Graph.build(n, specs), [label[x] for x in (2, 3, 4)]
+
+
+class TestK23:
+    """The three degree-2 nodes of K_{2,3} share no cycle, so a family whose
+    one part is exactly the terminals finds no price for that part; other
+    families must still reach the optimum."""
+
+    def test_plain_k23(self):
+        g = Graph.build(5, [(a, x, 1, False) for a in (0, 1) for x in (2, 3, 4)])
+        assert solve_2ecs(g, [2, 3, 4]).edges == frozenset(range(6))
+        assert solve_kfst_unweighted(FstInstance(g, frozenset({2, 3, 4}))).cost == 6
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_costs_match_the_oracle(self, seed):
+        g, terms = k23_variant(random.Random(500 + seed))
+        for kind, solve in (
+            (ProblemKind.KFST, lambda: solve_kfst_unweighted(FstInstance(g, frozenset(terms)))),
+            (ProblemKind.TWO_ECS, lambda: solve_2ecs(g, terms)),
+        ):
+            ref = oracle_min_subgraph(g, terms, kind)
+            sol = solve()
+            assert sol.cost == ref.cost
+            assert oracle_feasible(g, sol.edges, terms, kind)
 
 
 class TestTwoEdgeConnected:
