@@ -61,6 +61,27 @@ def ordered_partitions(
         yield from place(0, first_min + r - 1)
 
 
+def count_anchor_vectors(size: int, k: int) -> int:
+    """The (partition, ordered anchor vector) points over one ground set
+    of ``size`` nodes: ordered partitions into at most k parts whose first
+    part keeps at least two nodes, each weighted by the ordered anchor
+    pairs of its later parts, p (p - 1) for a part after p nodes.
+
+    This is the sum of ``ordered_partitions(ground, k, 2)``'s anchor-pair
+    products in closed form: ``ways[c]`` sums, over the ways to place c
+    nodes in the parts so far, the products so far.
+    """
+    ways = [comb(size, c) if c >= 2 else 0 for c in range(size + 1)]
+    total = ways[size]
+    for _ in range(1, k):
+        ways = [
+            sum(ways[p] * p * (p - 1) * comb(size - p, c - p) for p in range(2, c))
+            for c in range(size + 1)
+        ]
+        total += ways[size]
+    return total
+
+
 def ordered_bell(i: int) -> int:
     """Ordered Bell number via B(i) = sum_j C(i,j) B(i-j), B(0) = 1."""
     if i < 0:

@@ -45,9 +45,10 @@ class Solution:
 class SolveStats:
     """Mutable run accounting filled in by the solvers.
 
-    ``iterations`` counts every visited configuration of the outer
-    enumeration (including ones skipped after a failed subcall), so tests
-    can compare it against closed-form counts. ``updates`` records
+    ``iterations`` counts every configuration of the outer enumeration,
+    walked or counted in bulk (including ones skipped after a failed
+    subcall or by a bound), so tests can compare it against closed-form
+    counts. ``updates`` records
     ``(iteration, incumbent weight)`` pairs; the weight sequence is
     non-increasing by construction.
     """

@@ -17,14 +17,38 @@ candidate in them was offered before and the register only decreases,
 so none could update. A mirrored anchor pair (t, s) gets the same path as
 (s, t), which comes first, so its subtree is skipped. Subsets come
 smallest first, so an S that meets T repeats the ground T union S, and
-with it every configuration, of the smaller S - T; the ground's total is
-reused.
+with it every configuration, of the smaller S - T.
+
+Three edge-count bounds skip the parts of the space whose candidates are
+all heavier than the incumbent. Edge weights are integers >= 1, and each
+bound is strict, so a candidate that ties the incumbent still reaches the
+comparison of edge-id tuples. Every candidate over a ground covers the
+ground, and a feasible one is 2-node-connected on >= 3 nodes, so each of
+its nodes has degree >= 2.
+
+1. Ears. Let P be a partial union (the first part's cycle, then each
+   added path) and N the ground nodes it misses. Every edge at a node of
+   N is new, the degrees at N need >= 2|N| edge ends, and >= 2 new edges
+   leave N: with one, its end outside N would separate N from the rest
+   of P's >= 3 nodes, a cut node. So a feasible union adds >= |N| + 1
+   edges, and a prefix with ``weight + |N| + 1 > incumbent`` is pruned.
+2. Later parts. A feasible union has at least as many edges as nodes, so
+   its weight is at least |ground|, and at exactly |ground| it is a simple
+   cycle on exactly the ground. The one-part partition, which comes first,
+   has offered the minimum such cycle by (weight, edge-id tuple), as the
+   kernel breaks ties that way. So once ``|ground| + 1 > incumbent``, no
+   partition with two or more parts can update; partitions come in
+   increasing part count, so the rest of the ground is counted in bulk.
+3. Grounds. By the same count, a ground with ``|ground| > incumbent`` is
+   skipped whole.
 
 The iteration counter counts every (S, partition, anchor vector) point
-exactly once, walked or not: each partition adds its number of ordered
-anchor vectors and a repeated ground adds its first total, so it always
-equals the closed-form sum of anchor-pair products over all subsets and
-partitions.
+exactly once, walked or counted in bulk. A ground's total depends only on
+its size and k (``enumeration.count_anchor_vectors``), so every skipped
+or bounded ground adds its total, and the counter always equals the
+closed-form sum over all subsets; a fast-mode stop counts the partitions
+reached. ``ground_skips``, ``later_part_skips`` and ``ear_prunes`` count
+the three bounds' skips.
 
 Subcall results are memoized by their arguments; with integer edge
 weights the same machinery solves the rounded-and-subdivided weighted
@@ -35,11 +59,10 @@ order, so every count repeats exactly.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .cycles import SearchPrep, search_min_cycle, search_min_path
-from .enumeration import ordered_partitions, subsets_up_to
+from .enumeration import count_anchor_vectors, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath
 from .graph import Graph, is_2nc, subgraph_nodes
 from .scaling import prefix_feasible, solve_scaled
@@ -47,11 +70,13 @@ from .solution import ProblemKind, Solution, SolveStats, run_stats
 
 
 _MISS = object()
+_Result = tuple[int, frozenset[int], int]  # weight, edge ids, node bitmask
 
 
 class _Subcalls:
     """Memoized cycle/path subcalls over one graph and weight vector; all
-    of them share one ``SearchPrep`` of the search kernel's tables."""
+    of them share one ``SearchPrep`` of the search kernel's tables. A
+    result is ``(weight, edges, node mask)``, or None when there is none."""
 
     def __init__(
         self,
@@ -63,36 +88,42 @@ class _Subcalls:
         self.prep = SearchPrep(g, weights)
         self.w = self.prep.w
         self.stats = stats
-        self.cycles: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
-        self.paths: dict[tuple[frozenset[int], int, int], tuple[int, frozenset[int]] | None] = {}
+        self.cycles: dict[frozenset[int], _Result | None] = {}
+        self.paths: dict[tuple[frozenset[int], int, int], _Result | None] = {}
 
     def _weigh(self, edges: frozenset[int]) -> int:
         return sum(self.w[eid] for eid in edges)
 
-    def cycle(self, part: frozenset[int]) -> tuple[int, frozenset[int]] | None:
+    def _result(self, total: int, eids: tuple[int, ...]) -> _Result:
+        mask = 0
+        for eid in eids:
+            edge = self.g.edges[eid]
+            mask |= 1 << edge.u | 1 << edge.v
+        return total, frozenset(eids), mask
+
+    def cycle(self, part: frozenset[int]) -> _Result | None:
         hit = self.cycles.get(part, _MISS)
         if hit is not _MISS:
             return hit
-        result: tuple[int, frozenset[int]] | None
+        result: _Result | None
         try:
             # the target subgraph needs >= 3 nodes
             total, eids, _ = search_min_cycle(self.g, part, min_nodes=3, prep=self.prep)
-            result = (total, frozenset(eids))
+            result = self._result(total, eids)
         except NoCycle:
             result = None
         self.stats.count("cycle_calls")
         self.cycles[part] = result
         return result
 
-    def path(self, part: frozenset[int], s: int, t: int) -> tuple[int, frozenset[int]] | None:
+    def path(self, part: frozenset[int], s: int, t: int) -> _Result | None:
         key = (part, s, t)
         hit = self.paths.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        result: tuple[int, frozenset[int]] | None
+        result: _Result | None
         try:
-            total, eids = search_min_path(self.g, part, s, t, prep=self.prep)
-            result = (total, frozenset(eids))
+            result = self._result(*search_min_path(self.g, part, s, t, prep=self.prep))
         except NoPath:
             result = None
         self.stats.count("path_calls")
@@ -152,21 +183,43 @@ def _solve_core(
         return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
 
     iterations = 0
-    ground_totals: dict[tuple[int, ...], int] = {}
+    totals = [count_anchor_vectors(size, k) for size in range(k + bound + 1)]
+    ground_skips = later_part_skips = ear_prunes = 0
     for subset_index, S in enumerate(subsets_up_to(range(g.n), bound)):
         if stop:
             break
-        ground = tuple(sorted(term_set | S))
-        if ground in ground_totals:
+        size = k + len(S - term_set)
+        if S & term_set:
             # S meets T, so the smaller S - T came first with this ground
             # and the same configurations: nothing here can update
-            iterations += ground_totals[ground]
+            iterations += totals[size]
             continue
-        ground_total = 0
+        if size > incumbent.weight:
+            # every candidate here covers the ground: lemma 3
+            ground_skips += 1
+            iterations += totals[size]
+            continue
+        ground = sorted(term_set | S)
+        ground_mask = sum(1 << v for v in ground)
+        walked = 0  # anchor vectors of the partitions reached so far
         for parts in ordered_partitions(ground, k, 2):
             if stop:
                 break
             r = len(parts)
+            if r > 1 and size + 1 > incumbent.weight:
+                # lemma 2; r only grows from here and the register only
+                # decreases, so the rest of the ground is counted in bulk
+                later_part_skips += 1
+                break
+            vectors, placed = 1, len(parts[0])
+            for part in parts[1:]:
+                vectors *= placed * (placed - 1)
+                placed += len(part)
+            walked += vectors
+
+            cyc = calls.cycle(parts[0])
+            if cyc is None:
+                continue
             # one anchor pair s < t per unordered pair: a t-s path is an
             # s-t path reversed, so the kernel gives the mirror the same
             # (weight, edges) and its subtree only repeats candidates
@@ -177,14 +230,13 @@ def _solve_core(
                 nodes = sorted(pool)
                 dims.append([(s, t) for s in nodes for t in nodes if s < t])
                 pool |= parts[i]
-            ground_total += math.prod(2 * len(d) for d in dims)
 
-            cyc = calls.cycle(parts[0])
-            if cyc is None:
-                continue
-
-            def walk(idx: int, union: frozenset[int], weight: int) -> None:
-                nonlocal stop
+            def walk(idx: int, union: frozenset[int], weight: int, mask: int) -> None:
+                nonlocal stop, ear_prunes
+                missing = ground_mask & ~mask
+                if missing and weight + missing.bit_count() + 1 > incumbent.weight:
+                    ear_prunes += 1  # lemma 1
+                    return
                 if idx == len(dims):
                     # feasibility is only ever tested on would-be updates
                     if incumbent.beats(weight, union) and feasible(union):
@@ -202,12 +254,15 @@ def _solve_core(
                     nw = weight + sum(calls.w[e] for e in added)
                     if nw > incumbent.weight:
                         continue
-                    walk(idx + 1, union | sub[1], nw)
+                    walk(idx + 1, union | sub[1], nw, mask | sub[2])
 
-            walk(0, cyc[1], cyc[0])
-        iterations += ground_total
-        ground_totals[ground] = ground_total
+            walk(0, cyc[1], cyc[0], cyc[2])
+        # a stop leaves the rest of the ground unreached and uncounted
+        iterations += walked if stop else totals[size]
     stats.iterations += iterations
+    stats.count("ground_skips", ground_skips)
+    stats.count("later_part_skips", later_part_skips)
+    stats.count("ear_prunes", ear_prunes)
 
     final = incumbent.edges
     if final == full and not feasible(full):

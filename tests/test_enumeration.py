@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survsteiner import (
+    count_anchor_vectors,
     count_subsets_up_to,
     ordered_bell,
     ordered_partitions,
@@ -104,3 +105,19 @@ class TestOrderedPartitions:
             assert union == set(range(5))
             assert len(parts[0]) >= 2
             assert len(parts) <= 3
+
+
+class TestAnchorVectorCount:
+    def test_matches_a_sum_over_the_partition_stream(self):
+        # each partition adds p (p - 1) ordered anchor pairs per later
+        # part, p being the nodes of the parts before it
+        for k in range(2, 6):
+            for size in range(2 * k):
+                brute = 0
+                for parts in ordered_partitions(range(size), k, 2):
+                    vectors, pool = 1, len(parts[0])
+                    for part in parts[1:]:
+                        vectors *= pool * (pool - 1)
+                        pool += len(part)
+                    brute += vectors
+                assert count_anchor_vectors(size, k) == brute, (size, k)

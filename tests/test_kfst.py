@@ -423,6 +423,39 @@ class TestK23:
             assert oracle_feasible(g, sol.edges, terms, kind)
 
 
+def mixed_ring_chords(rng, n, m, unsafe):
+    """A shuffled Hamiltonian ring plus m - n random chords, each edge
+    unsafe with probability ``unsafe``."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    while len(pairs) < m:
+        pairs.append(tuple(rng.sample(range(n), 2)))
+    return Graph.build(n, [(u, v, 1, rng.random() >= unsafe) for u, v in pairs])
+
+
+class TestFourTerminals:
+    """k = 4 prices parts of four or more nodes with the 2NCS scan
+    (``twonc._solve_core``); both kinds match the oracle. The graphs carry
+    three to five chords: on a ring with one chord a k = 4 request can
+    take tens of seconds."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_costs_match_the_oracle(self, seed):
+        rng = random.Random(f"k4-{seed}")
+        n = rng.choice([6, 7])
+        g = mixed_ring_chords(rng, n, n + rng.randrange(3, 6), 0.4)
+        terms = sorted(rng.sample(range(n), 4))
+        for kind, solve in (
+            (ProblemKind.KFST, lambda: solve_kfst_unweighted(FstInstance(g, frozenset(terms)))),
+            (ProblemKind.TWO_ECS, lambda: solve_2ecs(g, terms)),
+        ):
+            ref = oracle_min_subgraph(g, terms, kind)
+            sol = solve()
+            assert sol.cost == ref.cost
+            assert oracle_feasible(g, sol.edges, terms, kind)
+
+
 class TestTwoEdgeConnected:
     def test_ring_with_all_terminals(self):
         g = Graph.build(4, [(i, (i + 1) % 4, 1, True) for i in range(4)])

@@ -1,5 +1,6 @@
 """The 2-node-connected solvers and their configuration scan."""
 
+import functools
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from survsteiner import (
     subgraph_nodes,
 )
 from survsteiner import twonc
-from survsteiner.enumeration import ordered_partitions, subsets_up_to
+from survsteiner.enumeration import count_anchor_vectors, ordered_partitions, subsets_up_to
 
 
 def cycle_graph(n, cost=1):
@@ -272,35 +273,123 @@ SCAN_CASES = [
 ]
 
 
+def compare_scans(g, terms, weights, mode, subset_bound):
+    """``reference_scan`` and ``_solve_core`` on one instance: the
+    reference's answer and stats, the solver's, and the grounds the solver
+    scanned."""
+    ref_stats, stats = SolveStats(), SolveStats()
+    ref = reference_scan(g, terms, weights, mode, subset_bound, ref_stats)
+    grounds = []
+
+    def scanned(ground, *args):
+        grounds.append(tuple(ground))
+        return ordered_partitions(ground, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twonc, "ordered_partitions", scanned)
+        got = twonc._solve_core(g, terms, weights=weights, mode=mode, stats=stats)
+    return ref, ref_stats, got, stats, grounds
+
+
+@functools.cache
+def scan_pair(k, n, weighted, mode, wide, seed):
+    """One scan case through ``compare_scans``; cached, so the tests over
+    all cases reuse the runs."""
+    rng = random.Random(f"scan-{k}-{n}-{weighted}-{mode}-{wide}-{seed}")
+    g = ring_chords(rng, n, n + rng.randrange(2, 5))
+    weights = {e: rng.randint(1, 4) for e in g.edge_ids()} if weighted else None
+    terms = sorted(rng.sample(range(n), k))
+    return compare_scans(g, terms, weights, mode, 2 * k if wide else 2 * k - 4)
+
+
+def assert_same_scan(ref, ref_stats, got, stats, grounds):
+    """Equal answers, iterations and updates; each ground scanned once;
+    no more cycle subcalls and at most half the path subcalls."""
+    assert got == ref
+    assert len(grounds) == len(set(grounds))
+    assert stats.iterations == ref_stats.iterations
+    assert stats.updates == ref_stats.updates
+    assert stats.subcalls.get("cycle_calls", 0) <= ref_stats.subcalls.get("cycle_calls", 0)
+    assert 2 * stats.subcalls.get("path_calls", 0) <= ref_stats.subcalls.get("path_calls", 0)
+
+
+def k23_ring():
+    """K_{2,3} on the branch nodes 3, 4 with the terminals 0, 1, 2 on its
+    other side (unit edges, ids 0-5), then a triangle of weight-2 edges on
+    the terminals. The first incumbent weighs 6, as K_{2,3} does, and its
+    smaller edge-id tuple is reached only through prefixes whose ear bound
+    equals 6: a 4-cycle through two terminals that misses the third."""
+    specs = [(t, side, 1, True) for t in range(3) for side in (3, 4)]
+    specs += [(t, (t + 1) % 3, 2, True) for t in range(3)]
+    g = Graph.build(5, specs)
+    return g, [0, 1, 2], {e: int(g.edges[e].cost) for e in g.edge_ids()}
+
+
 class TestScanSkips:
-    """The scan skips mirrored anchor pairs and repeated grounds; against
-    a scan that skips neither, every answer and count matches and exactly
-    half of the path subcalls remain. Against a reference that also scans
-    subsets beyond the structure bound (``wide``), the answer matches: the
-    bound loses none."""
+    """The scan skips mirrored anchor pairs and repeated grounds and bounds
+    the rest by edge counts; against a scan that does none of this, every
+    answer, ``iterations`` and ``updates`` match, and at most half of the
+    path subcalls remain. Against a reference that also scans subsets
+    beyond the structure bound (``wide``), the answer matches: the bound
+    loses none."""
 
     @pytest.mark.parametrize("k,n,weighted,mode,wide,seed", SCAN_CASES)
-    def test_matches_the_full_scan(self, monkeypatch, k, n, weighted, mode, wide, seed):
-        rng = random.Random(f"scan-{k}-{n}-{weighted}-{mode}-{wide}-{seed}")
-        g = ring_chords(rng, n, n + rng.randrange(2, 5))
-        weights = {e: rng.randint(1, 4) for e in g.edge_ids()} if weighted else None
-        terms = sorted(rng.sample(range(n), k))
-        ref_stats, stats = SolveStats(), SolveStats()
-        bound = 2 * k if wide else 2 * k - 4
-        ref = reference_scan(g, terms, weights, mode, bound, ref_stats)
-        grounds = []
-
-        def scanned(ground, *args):
-            grounds.append(tuple(ground))
-            return ordered_partitions(ground, *args)
-
-        monkeypatch.setattr(twonc, "ordered_partitions", scanned)
-        got = twonc._solve_core(g, terms, weights=weights, mode=mode, stats=stats)
-        assert got == ref
-        assert len(grounds) == len(set(grounds))  # each ground is scanned once
+    def test_matches_the_full_scan(self, k, n, weighted, mode, wide, seed):
+        ref, ref_stats, got, stats, grounds = scan_pair(k, n, weighted, mode, wide, seed)
         if wide:
-            return  # the wider reference scans more, so its counts differ
-        assert stats.iterations == ref_stats.iterations
-        assert stats.updates == ref_stats.updates
-        assert stats.subcalls.get("cycle_calls") == ref_stats.subcalls.get("cycle_calls")
-        assert 2 * stats.subcalls.get("path_calls", 0) == ref_stats.subcalls.get("path_calls", 0)
+            # the wider reference scans more, so only the answer compares
+            assert got == ref
+            assert len(grounds) == len(set(grounds))
+            return
+        assert_same_scan(ref, ref_stats, got, stats, grounds)
+
+    def test_a_tie_at_the_ear_bound_matches_the_full_scan(self):
+        g, terms, weights = k23_ring()
+        scans = compare_scans(g, terms, weights, "audit", 2)
+        assert scans[2] == (6, frozenset(range(6)))
+        assert_same_scan(*scans)
+
+    def test_the_bounds_cut_the_subcalls(self):
+        # a bound that never fires passes the tests above; over all cases
+        # each one fires and the path subcalls fall below half
+        totals, ref_paths = {}, 0
+        for case in SCAN_CASES:
+            if case[4]:
+                continue
+            _, ref_stats, _, stats, _ = scan_pair(*case)
+            ref_paths += ref_stats.subcalls.get("path_calls", 0)
+            for name, count in stats.subcalls.items():
+                totals[name] = totals.get(name, 0) + count
+        assert 2 * totals["path_calls"] < ref_paths
+        for name in ("ground_skips", "later_part_skips", "ear_prunes"):
+            assert totals[name] > 0, name
+
+    def test_each_bound_fires_at_its_equality(self):
+        # a 4-cycle 0-1-2-3 (ids 0-3) and a triangle 0-1-4, T = {0, 1, 2};
+        # S ranges over subsets of at most two nodes
+        g = Graph.build(5, [(0, 1, 1, True), (1, 2, 1, True), (2, 3, 1, True),
+                            (3, 0, 1, True), (0, 4, 1, True), (4, 1, 1, True)])
+        stats = SolveStats()
+        assert twonc._solve_core(g, [0, 1, 2], stats=stats) == (4, frozenset(range(4)))
+        assert stats.updates == [(0, 4)]  # the 4-cycle, at S = {}
+        assert stats.subcalls == {
+            # S = {}: the one-part cycle and the 2-node first parts; the
+            # one-part cycles of S = {3} and S = {4}
+            "cycle_calls": 6,
+            # S = {}, first part {0, 1}: the triangle misses node 2, and
+            # 3 + 1 + 1 > 4; first parts {0, 2} and {1, 2}: their 4-cycle
+            # covers the ground and is walked, one path each
+            "ear_prunes": 1,
+            "path_calls": 2,
+            # S = {3}, {4}: 4 + 1 > 4 after the one-part partition
+            "later_part_skips": 2,
+            # S = {3, 4}: 5 > 4; S = {3} and {4} are not skipped, 4 > 4 fails
+            "ground_skips": 1,
+        }
+        # ground sizes: 3 for S = {} and the six S inside T; 4 for {3},
+        # {4} and their six extensions by a terminal; 5 for {3, 4}. Each
+        # ground adds its closed-form total
+        assert stats.iterations == sum(
+            count_anchor_vectors(size, 3) * grounds
+            for size, grounds in ((3, 7), (4, 8), (5, 1))
+        )
