@@ -69,12 +69,6 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
     sub.add_argument(
-        "--mode",
-        choices=("audit", "fast"),
-        default="audit",
-        help="audit scans every configuration; fast stops at a proven lower bound",
-    )
-    sub.add_argument(
         "--threads",
         type=int,
         default=1,
@@ -161,25 +155,20 @@ def _dispatch(
     if kind is ProblemKind.TWO_NCS:
         if epsilon is None:
             return solve_2ncs_unweighted(
-                g, sorted(terminals), eta, seed,
-                mode=args.mode, threads=args.threads, stats=stats,
+                g, sorted(terminals), eta, seed, threads=args.threads, stats=stats
             )
         return solve_2ncs_weighted(
-            g, sorted(terminals), epsilon, eta, seed,
-            mode=args.mode, threads=args.threads, stats=stats,
+            g, sorted(terminals), epsilon, eta, seed, threads=args.threads, stats=stats
         )
     if kind is ProblemKind.TWO_ECS:
         return solve_2ecs(
-            g, sorted(terminals), epsilon, eta, seed,
-            mode=args.mode, threads=args.threads, stats=stats,
+            g, sorted(terminals), epsilon, eta, seed, threads=args.threads, stats=stats
         )
     inst = FstInstance(g, terminals)
     if epsilon is None:
-        return solve_kfst_unweighted(
-            inst, eta, seed, mode=args.mode, threads=args.threads, stats=stats
-        )
+        return solve_kfst_unweighted(inst, eta, seed, threads=args.threads, stats=stats)
     return solve_kfst_weighted(
-        inst, epsilon, eta, seed, mode=args.mode, threads=args.threads, stats=stats
+        inst, epsilon, eta, seed, threads=args.threads, stats=stats
     )
 
 

@@ -376,15 +376,12 @@ def _kfst_core(
     inst: FstInstance,
     *,
     weights: dict[int, int] | None = None,
-    mode: str = "audit",
     stats: SolveStats | None = None,
 ) -> frozenset[int]:
     """Shared search; returns the edge set in original edge ids (pendant
     edges already stripped)."""
     if inst.modified:
         raise AlreadyModified("the solver applies its own pendant gadget")
-    if mode not in ("audit", "fast"):
-        raise ValueError("mode must be 'audit' or 'fast'")
     stats = stats if stats is not None else SolveStats()
     terms = sorted(inst.terminals)
     k = len(terms)
@@ -421,36 +418,31 @@ def _kfst_core(
 
     full = frozenset(g2.edge_ids())
     incumbent = _Incumbent(sum(w2), full)
-    lower_bound = 2 * k - 1  # k pendant edges plus a spanning structure
     term_set = set(t2)
 
     twonc_memo: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
     small_parts = _Subcalls(g0, weights, stats)
 
-    def twonc_edges(part: frozenset[int]) -> tuple[int, frozenset[int]] | None:
-        hit = twonc_memo.get(part, _MISS)
-        if hit is not _MISS:
-            return hit
+    def twonc_edges(part: frozenset[int]) -> tuple | None:
+        """``(weight, edges, ...)`` of the part's container, or None."""
         if len(part) <= 3:
             # A part of at most three nodes is priced by its minimum Steiner
             # cycle, and a part with no such cycle is skipped. That is not
             # always the minimum 2-node-connected container: the three
             # degree-2 nodes of K_{2,3} share no cycle (ROADMAP item C).
-            got = small_parts.cycle(part)
-        else:
-            scratch = SolveStats()
-            try:
-                got = _solve_core(
-                    g0,
-                    part,
-                    weights=weights,
-                    mode="fast",
-                    stats=scratch,
-                )
-            except Infeasible:
-                got = None
-            stats.count("twonc_calls")
-            stats.count("twonc_iterations", scratch.iterations)
+            return small_parts.cycle(part)
+        hit = twonc_memo.get(part, _MISS)
+        if hit is not _MISS:
+            return hit
+        scratch = SolveStats()
+        try:
+            got = _solve_core(g0, part, weights=weights, stats=scratch)
+        except Infeasible:
+            got = None
+        stats.count("twonc_calls")
+        stats.count("twonc_iterations", scratch.iterations)
+        for name, count in scratch.subcalls.items():
+            stats.count(f"twonc_{name}", count)
         twonc_memo[part] = got
         return got
 
@@ -502,8 +494,6 @@ def _kfst_core(
             if incumbent.beats(weight_total, cand) and _survives(g2, cand, term_set):
                 if incumbent.offer(weight_total, cand):
                     stats.updates.append((item[1], weight_total))
-        if mode == "fast" and incumbent.weight <= lower_bound:
-            break
         if bounded and pos < len(bounded) and bounded[pos][0] > incumbent.weight:
             # sorted by lower bound: nothing after this point can win
             break
@@ -520,7 +510,6 @@ def solve_kfst_unweighted(
     eta=Fraction(1, 100),
     seed: int = 0,
     *,
-    mode: str = "audit",
     threads: int = 1,
     stats: SolveStats | None = None,
 ) -> Solution:
@@ -528,7 +517,7 @@ def solve_kfst_unweighted(
     any single unsafe-edge failure. Deterministic; ``eta``, ``seed`` and
     ``threads`` are only recorded in ``stats``."""
     stats = run_stats(stats, seed, eta, threads)
-    edges = _kfst_core(inst, mode=mode, stats=stats)
+    edges = _kfst_core(inst, stats=stats)
     return Solution(edges=edges, cost=inst.graph.total_cost(edges))
 
 
@@ -538,7 +527,6 @@ def solve_kfst_weighted(
     eta=Fraction(1, 100),
     seed: int = 0,
     *,
-    mode: str = "audit",
     threads: int = 1,
     stats: SolveStats | None = None,
 ) -> Solution:
@@ -553,7 +541,7 @@ def solve_kfst_weighted(
     return solve_scaled(
         inst.graph, inst.terminals, epsilon, ProblemKind.KFST, stats,
         lambda folded, weights: _kfst_core(
-            FstInstance(folded, inst.terminals), weights=weights, mode=mode, stats=stats
+            FstInstance(folded, inst.terminals), weights=weights, stats=stats
         ),
     )
 
@@ -565,7 +553,6 @@ def solve_2ecs(
     eta=Fraction(1, 100),
     seed: int = 0,
     *,
-    mode: str = "audit",
     threads: int = 1,
     stats: SolveStats | None = None,
 ) -> Solution:
@@ -579,9 +566,5 @@ def solve_2ecs(
     )
     inst = FstInstance(relabeled, frozenset(terminals))
     if epsilon is None:
-        return solve_kfst_unweighted(
-            inst, eta, seed, mode=mode, threads=threads, stats=stats
-        )
-    return solve_kfst_weighted(
-        inst, epsilon, eta, seed, mode=mode, threads=threads, stats=stats
-    )
+        return solve_kfst_unweighted(inst, eta, seed, threads=threads, stats=stats)
+    return solve_kfst_weighted(inst, epsilon, eta, seed, threads=threads, stats=stats)

@@ -237,7 +237,6 @@ def _stats_payload(stats: SolveStats | None) -> dict:
         "mu": cost_text(stats.mu) if stats.mu is not None else None,
         "threshold_index": stats.threshold_index,
         "subdivided_nodes": stats.subdivided_nodes,
-        "notes": dict(stats.notes),
     }
 
 

@@ -65,7 +65,6 @@ class SolveStats:
     beta: Fraction | None = None
     mu: Fraction | None = None
     subdivided_nodes: int | None = None
-    notes: dict = field(default_factory=dict)
 
     def count(self, name: str, inc: int = 1) -> None:
         self.subcalls[name] = self.subcalls.get(name, 0) + inc

@@ -12,7 +12,7 @@ per later part between its anchors. The smallest feasible candidate wins;
 ties break to the lexicographically smallest edge-id set, so the answer
 does not depend on the scan order, but the recorded updates do.
 
-Two parts of the space are counted but never walked, because every
+Two parts of the space are counted but never searched, because every
 candidate in them was offered before and the register only decreases,
 so none could update. A mirrored anchor pair (t, s) gets the same path as
 (s, t), which comes first, so its subtree is skipped. Subsets come
@@ -43,12 +43,11 @@ its nodes has degree >= 2.
    skipped whole.
 
 The iteration counter counts every (S, partition, anchor vector) point
-exactly once, walked or counted in bulk. A ground's total depends only on
-its size and k (``enumeration.count_anchor_vectors``), so every skipped
-or bounded ground adds its total, and the counter always equals the
-closed-form sum over all subsets; a fast-mode stop counts the partitions
-reached. ``ground_skips``, ``later_part_skips`` and ``ear_prunes`` count
-the three bounds' skips.
+exactly once, searched or counted in bulk. A ground's total depends only
+on its size and k (``enumeration.count_anchor_vectors``), so each ground
+adds its total once, and the counter always equals the closed-form sum
+over all subsets. ``ground_skips``, ``later_part_skips`` and ``ear_prunes``
+count the three bounds' skips.
 
 Subcall results are memoized by their arguments; with integer edge
 weights the same machinery solves the rounded-and-subdivided weighted
@@ -158,15 +157,12 @@ def _solve_core(
     terminals,
     *,
     weights: dict[int, int] | None = None,
-    mode: str = "audit",
     stats: SolveStats | None = None,
 ) -> tuple[int, frozenset[int]]:
     terms = sorted(set(terminals))
     k = len(terms)
     if k < 2:
         raise ValueError("the solver needs at least two terminals")
-    if mode not in ("audit", "fast"):
-        raise ValueError("mode must be 'audit' or 'fast'")
     if not prefix_feasible(g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())):
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
@@ -174,10 +170,8 @@ def _solve_core(
     calls = _Subcalls(g, weights, stats)
     full = frozenset(g.edge_ids())
     incumbent = _Incumbent(calls._weigh(full), full)
-    lower_bound = max(3, k)
     term_set = set(terms)
     bound = max(2 * k - 4, 0)
-    stop = False  # fast mode: an update reached the lower bound
 
     def feasible(edges: frozenset[int]) -> bool:
         return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
@@ -186,37 +180,26 @@ def _solve_core(
     totals = [count_anchor_vectors(size, k) for size in range(k + bound + 1)]
     ground_skips = later_part_skips = ear_prunes = 0
     for subset_index, S in enumerate(subsets_up_to(range(g.n), bound)):
-        if stop:
-            break
         size = k + len(S - term_set)
+        iterations += totals[size]
         if S & term_set:
             # S meets T, so the smaller S - T came first with this ground
             # and the same configurations: nothing here can update
-            iterations += totals[size]
             continue
         if size > incumbent.weight:
             # every candidate here covers the ground: lemma 3
             ground_skips += 1
-            iterations += totals[size]
             continue
         ground = sorted(term_set | S)
         ground_mask = sum(1 << v for v in ground)
-        walked = 0  # anchor vectors of the partitions reached so far
         for parts in ordered_partitions(ground, k, 2):
-            if stop:
-                break
             r = len(parts)
             if r > 1 and size + 1 > incumbent.weight:
                 # lemma 2; r only grows from here and the register only
-                # decreases, so the rest of the ground is counted in bulk
+                # decreases, so the rest of the ground, already counted,
+                # is skipped
                 later_part_skips += 1
                 break
-            vectors, placed = 1, len(parts[0])
-            for part in parts[1:]:
-                vectors *= placed * (placed - 1)
-                placed += len(part)
-            walked += vectors
-
             cyc = calls.cycle(parts[0])
             if cyc is None:
                 continue
@@ -232,7 +215,7 @@ def _solve_core(
                 pool |= parts[i]
 
             def walk(idx: int, union: frozenset[int], weight: int, mask: int) -> None:
-                nonlocal stop, ear_prunes
+                nonlocal ear_prunes
                 missing = ground_mask & ~mask
                 if missing and weight + missing.bit_count() + 1 > incumbent.weight:
                     ear_prunes += 1  # lemma 1
@@ -242,8 +225,6 @@ def _solve_core(
                     if incumbent.beats(weight, union) and feasible(union):
                         if incumbent.offer(weight, union):
                             stats.updates.append((subset_index, weight))
-                            if mode == "fast" and weight <= lower_bound:
-                                stop = True
                     return
                 part = parts[idx + 1]
                 for s, t in dims[idx]:
@@ -257,8 +238,6 @@ def _solve_core(
                     walk(idx + 1, union | sub[1], nw, mask | sub[2])
 
             walk(0, cyc[1], cyc[0], cyc[2])
-        # a stop leaves the rest of the ground unreached and uncounted
-        iterations += walked if stop else totals[size]
     stats.iterations += iterations
     stats.count("ground_skips", ground_skips)
     stats.count("later_part_skips", later_part_skips)
@@ -277,7 +256,6 @@ def solve_2ncs_unweighted(
     eta=Fraction(1, 100),
     seed: int = 0,
     *,
-    mode: str = "audit",
     threads: int = 1,
     stats: SolveStats | None = None,
 ) -> Solution:
@@ -288,7 +266,7 @@ def solve_2ncs_unweighted(
     of at least three nodes.
     """
     stats = run_stats(stats, seed, eta, threads)
-    _, edges = _solve_core(g, terminals, mode=mode, stats=stats)
+    _, edges = _solve_core(g, terminals, stats=stats)
     return Solution(edges=edges, cost=g.total_cost(edges))
 
 
@@ -299,7 +277,6 @@ def solve_2ncs_weighted(
     eta=Fraction(1, 100),
     seed: int = 0,
     *,
-    mode: str = "audit",
     threads: int = 1,
     stats: SolveStats | None = None,
 ) -> Solution:
@@ -312,6 +289,6 @@ def solve_2ncs_weighted(
     return solve_scaled(
         g, terminals, epsilon, ProblemKind.TWO_NCS, stats,
         lambda folded, weights: _solve_core(
-            folded, terminals, weights=weights, mode=mode, stats=stats
+            folded, terminals, weights=weights, stats=stats
         )[1],
     )

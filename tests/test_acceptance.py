@@ -475,8 +475,7 @@ def test_criterion_8_reproducibility(capsys):
     assert ok
 
 
-@pytest.mark.parametrize("mode", ["audit", "fast"])
-def test_threads_do_not_change_the_counts(mode):
+def test_threads_do_not_change_the_counts():
     # SolveStats counts are part of the reproducibility contract too
     rng = random.Random(56)
     runs = []
@@ -487,11 +486,11 @@ def test_threads_do_not_change_the_counts(mode):
         t1, t2, t3 = (sorted(rng.sample(range(g.n), 3)) for g in (g1, g2, g3))
         runs += [
             lambda t, st, g=g1, ts=t1: solve_2ncs_unweighted(
-                g, ts, mode=mode, threads=t, stats=st),
+                g, ts, threads=t, stats=st),
             lambda t, st, g=g2, ts=t2: solve_2ncs_weighted(
-                g, ts, Fraction(1, 4), mode=mode, threads=t, stats=st),
+                g, ts, Fraction(1, 4), threads=t, stats=st),
             lambda t, st, g=g3, ts=t3: solve_kfst_unweighted(
-                FstInstance(g, frozenset(ts)), mode=mode, threads=t, stats=st),
+                FstInstance(g, frozenset(ts)), threads=t, stats=st),
         ]
     for run in runs:
         counts = set()

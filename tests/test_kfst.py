@@ -455,6 +455,21 @@ class TestFourTerminals:
             assert sol.cost == ref.cost
             assert oracle_feasible(g, sol.edges, terms, kind)
 
+    def test_inner_scans_report_their_counters(self):
+        # perfbench's ring_chords(random.Random(4), 6, 10, False, 0.4) and
+        # its terminals: nine parts are priced by the 2NCS scan
+        g = Graph.build(6, [
+            (3, 5, 1, True), (5, 4, 1, False), (4, 0, 1, False), (0, 2, 1, True),
+            (2, 1, 1, False), (1, 3, 1, True), (0, 1, 1, True), (2, 5, 1, True),
+            (0, 2, 1, False), (0, 2, 1, True),
+        ])
+        stats = SolveStats()
+        solve_kfst_unweighted(FstInstance(g, frozenset({1, 2, 4, 5})), stats=stats)
+        assert stats.subcalls["twonc_calls"] == 9
+        assert stats.subcalls["twonc_path_calls"] > 0
+        for name in ("cycle_calls", "ground_skips", "later_part_skips", "ear_prunes"):
+            assert f"twonc_{name}" in stats.subcalls, name
+
 
 class TestTwoEdgeConnected:
     def test_ring_with_all_terminals(self):

@@ -94,18 +94,6 @@ class TestUnweightedSolver:
         assert sizes == sorted(sizes, reverse=True)
         assert stats.iterations > 0
 
-    def test_fast_mode_matches_audit_size(self):
-        rng = random.Random(12)
-        for _ in range(6):
-            g = random_graph(rng, n_hi=7)
-            terms = rng.sample(range(g.n), 3)
-            try:
-                audit = solve_2ncs_unweighted(g, terms, mode="audit")
-            except Infeasible:
-                continue
-            fast = solve_2ncs_unweighted(g, terms, mode="fast")
-            assert len(fast.edges) == len(audit.edges)
-
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_oracle(self, seed):
         rng = random.Random(seed)
@@ -201,7 +189,7 @@ def ring_chords(rng, n, m):
     return Graph.build(n, specs)
 
 
-def reference_scan(g, terms, weights, mode, subset_bound, stats):
+def reference_scan(g, terms, weights, subset_bound, stats):
     """The configuration scan with nothing skipped: every subset S of at
     most ``subset_bound`` nodes, every ordered partition of T union S and
     every ordered anchor pair, pruned only where a subcall fails or the
@@ -212,17 +200,12 @@ def reference_scan(g, terms, weights, mode, subset_bound, stats):
     full = frozenset(g.edge_ids())
     incumbent = twonc._Incumbent(calls._weigh(full), full)
     term_set = set(terms)
-    stop = False
 
     def feasible(edges):
         return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
 
     for index, S in enumerate(subsets_up_to(range(g.n), subset_bound)):
-        if stop:
-            break
         for parts in ordered_partitions(sorted(term_set | S), k, 2):
-            if stop:
-                break
             pools = [sorted(set().union(*parts[: i + 1])) for i in range(len(parts) - 1)]
 
             def points(idx):
@@ -230,14 +213,11 @@ def reference_scan(g, terms, weights, mode, subset_bound, stats):
                 return math.prod(len(p) * (len(p) - 1) for p in pools[idx:])
 
             def walk(idx, union, weight):
-                nonlocal stop
                 if idx == len(pools):
                     stats.iterations += 1
                     if incumbent.beats(weight, union) and feasible(union):
                         if incumbent.offer(weight, union):
                             stats.updates.append((index, weight))
-                            if mode == "fast" and weight <= max(3, k):
-                                stop = True
                     return
                 for s, t in itertools.permutations(pools[idx], 2):
                     sub = calls.path(parts[idx + 1], s, t)
@@ -264,21 +244,27 @@ def reference_scan(g, terms, weights, mode, subset_bound, stats):
 # k = 4 at n = 6, and a wide one 2 M for k = 3 at n = 7 and 12 M at n = 8
 SCAN_SIZES = {(3, False): (6, 8), (3, True): (5, 6), (4, False): (5, 6), (4, True): (5,)}
 SCAN_CASES = [
-    (k, n, weighted, mode, wide, seed)
+    (k, n, weighted, wide, seed)
     for (k, wide), sizes in SCAN_SIZES.items()
     for n in sizes
     for weighted in (False, True)
-    for mode in ("audit", "fast")
     for seed in range(2 if n == 5 else 1)
 ]
 
 
-def compare_scans(g, terms, weights, mode, subset_bound):
+def scan_name(k, n, weighted, wide, seed):
+    """A scan case's test id and the seed of its instance. The tag
+    ``audit`` names the one scan; it stays in the name so that the ids and
+    the seeded instances stay those the scan has always been checked on."""
+    return f"{k}-{n}-{weighted}-audit-{wide}-{seed}"
+
+
+def compare_scans(g, terms, weights, subset_bound):
     """``reference_scan`` and ``_solve_core`` on one instance: the
     reference's answer and stats, the solver's, and the grounds the solver
     scanned."""
     ref_stats, stats = SolveStats(), SolveStats()
-    ref = reference_scan(g, terms, weights, mode, subset_bound, ref_stats)
+    ref = reference_scan(g, terms, weights, subset_bound, ref_stats)
     grounds = []
 
     def scanned(ground, *args):
@@ -287,19 +273,19 @@ def compare_scans(g, terms, weights, mode, subset_bound):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(twonc, "ordered_partitions", scanned)
-        got = twonc._solve_core(g, terms, weights=weights, mode=mode, stats=stats)
+        got = twonc._solve_core(g, terms, weights=weights, stats=stats)
     return ref, ref_stats, got, stats, grounds
 
 
 @functools.cache
-def scan_pair(k, n, weighted, mode, wide, seed):
+def scan_pair(k, n, weighted, wide, seed):
     """One scan case through ``compare_scans``; cached, so the tests over
     all cases reuse the runs."""
-    rng = random.Random(f"scan-{k}-{n}-{weighted}-{mode}-{wide}-{seed}")
+    rng = random.Random(f"scan-{scan_name(k, n, weighted, wide, seed)}")
     g = ring_chords(rng, n, n + rng.randrange(2, 5))
     weights = {e: rng.randint(1, 4) for e in g.edge_ids()} if weighted else None
     terms = sorted(rng.sample(range(n), k))
-    return compare_scans(g, terms, weights, mode, 2 * k if wide else 2 * k - 4)
+    return compare_scans(g, terms, weights, 2 * k if wide else 2 * k - 4)
 
 
 def assert_same_scan(ref, ref_stats, got, stats, grounds):
@@ -333,9 +319,11 @@ class TestScanSkips:
     beyond the structure bound (``wide``), the answer matches: the bound
     loses none."""
 
-    @pytest.mark.parametrize("k,n,weighted,mode,wide,seed", SCAN_CASES)
-    def test_matches_the_full_scan(self, k, n, weighted, mode, wide, seed):
-        ref, ref_stats, got, stats, grounds = scan_pair(k, n, weighted, mode, wide, seed)
+    @pytest.mark.parametrize(
+        "k,n,weighted,wide,seed", SCAN_CASES, ids=[scan_name(*c) for c in SCAN_CASES]
+    )
+    def test_matches_the_full_scan(self, k, n, weighted, wide, seed):
+        ref, ref_stats, got, stats, grounds = scan_pair(k, n, weighted, wide, seed)
         if wide:
             # the wider reference scans more, so only the answer compares
             assert got == ref
@@ -345,7 +333,7 @@ class TestScanSkips:
 
     def test_a_tie_at_the_ear_bound_matches_the_full_scan(self):
         g, terms, weights = k23_ring()
-        scans = compare_scans(g, terms, weights, "audit", 2)
+        scans = compare_scans(g, terms, weights, 2)
         assert scans[2] == (6, frozenset(range(6)))
         assert_same_scan(*scans)
 
@@ -354,7 +342,7 @@ class TestScanSkips:
         # each one fires and the path subcalls fall below half
         totals, ref_paths = {}, 0
         for case in SCAN_CASES:
-            if case[4]:
+            if case[3]:
                 continue
             _, ref_stats, _, stats, _ = scan_pair(*case)
             ref_paths += ref_stats.subcalls.get("path_calls", 0)
@@ -363,6 +351,20 @@ class TestScanSkips:
         assert 2 * totals["path_calls"] < ref_paths
         for name in ("ground_skips", "later_part_skips", "ear_prunes"):
             assert totals[name] > 0, name
+
+    def test_updates_at_the_lower_bound_come_from_the_empty_subset(self):
+        # a feasible union weighs >= max(3, k), and at that weight it is a
+        # cycle on exactly T, which the first configuration (S = {}, one
+        # part) offers; so no later subset can update at that weight
+        at_bound = 0
+        for case in SCAN_CASES:
+            k = case[0]
+            _, ref_stats, _, stats, _ = scan_pair(*case)
+            for index, weight in ref_stats.updates + stats.updates:
+                if weight <= max(3, k):
+                    assert index == 0, (case, index, weight)
+                    at_bound += 1
+        assert at_bound > 0
 
     def test_each_bound_fires_at_its_equality(self):
         # a 4-cycle 0-1-2-3 (ids 0-3) and a triangle 0-1-4, T = {0, 1, 2};
