@@ -45,9 +45,6 @@ class CondensedBlockTree:
     def degree(self, i: int) -> int:
         return sum(1 for a, b, _ in self.edges if i in (a, b))
 
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(i for i in self.nodes if self.degree(i) <= 1)
-
     def internal_nodes(self) -> tuple[int, ...]:
         return tuple(i for i in self.nodes if self.degree(i) >= 2)
 

@@ -113,15 +113,15 @@ def _search(
     need: int,
     min_nodes: int,
     exists: bool = False,
-) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """The one search kernel: the minimum (weight, sorted edge ids, node
-    order) over simple walks from ``start`` that pass every node of the
-    bitmask ``need`` and close on an edge into ``end``; None if there is
-    none. ``start == end`` asks for a cycle, which is enumerated once by
-    requiring the closing edge id to exceed the opening one; otherwise
-    the walk is an s-t path. Visited sets and reachability are bitmasks.
-    With ``exists`` set the search stops at the first closing walk and
-    returns it, minimal or not.
+) -> tuple[int, tuple[int, ...]] | None:
+    """The one search kernel: the minimum (weight, sorted edge ids) over
+    simple walks from ``start`` that pass every node of the bitmask
+    ``need`` and close on an edge into ``end``; None if there is none.
+    ``start == end`` asks for a cycle of at least ``min_nodes`` nodes,
+    enumerated once by requiring the closing edge id to exceed the opening
+    one; otherwise the walk is an s-t path. Visited sets and reachability
+    are bitmasks. With ``exists`` set the search stops at the first
+    closing walk and returns it, minimal or not.
 
     When the walk steps to y with weight ``acc``, the branch is pruned if
     ``acc`` plus a lower bound on the rest exceeds the incumbent
@@ -144,7 +144,6 @@ def _search(
     bound = math.inf
     to_end: list = []
     legs: list[tuple[int, list, int]] = []  # (bit of t, d(t, .), d(t, end))
-    nodes = [start]
     eids: list[int] = []
 
     def reachable(visited: int, head: int) -> bool:
@@ -162,14 +161,14 @@ def _search(
         nonlocal best, bound, to_end
         for eid, y, wt in adj[head]:
             if y == end:
-                if cycle and (eid <= first or len(nodes) < min_nodes):
+                if cycle and (eid <= first or visited.bit_count() < min_nodes):
                     continue
                 total = acc + wt
                 if total > bound or need & ~visited:
                     continue
                 key = tuple(sorted(eids + [eid]))
-                if best is None or (total, key) < best[:2]:
-                    best = (total, key, tuple(nodes))
+                if best is None or (total, key) < best:
+                    best = (total, key)
                     bound = total
                     if exists:
                         raise _Found
@@ -194,11 +193,9 @@ def _search(
                             rest = row[y] + tail
                     if acc2 + rest > bound:
                         continue
-                nodes.append(y)
                 eids.append(eid)
                 if reachable(seen, y):
                     dfs(y, seen, acc2, eid if first < 0 else first)
-                nodes.pop()
                 eids.pop()
 
     try:
@@ -215,8 +212,8 @@ def search_min_cycle(
     min_nodes: int = 2,
     *,
     prep: SearchPrep | None = None,
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Exhaustive core: (total weight, sorted edge ids, node order).
+) -> tuple[int, tuple[int, ...]]:
+    """Exhaustive core: (total weight, sorted edge ids).
 
     Enumerates every simple cycle through the smallest terminal once
     (direction canonicalised by requiring the closing edge id to exceed
@@ -311,7 +308,7 @@ def search_min_path(
     best = _search(prep, s, t, sum(1 << v for v in terms), 0)
     if best is None:
         raise NoPath(f"no simple {s}-{t} path covers the terminals")
-    return best[0], best[1]
+    return best
 
 
 def min_steiner_path(

@@ -49,12 +49,6 @@ class EarDecomposition:
     ears: tuple[Ear, ...]
     terminal_prefix: int = 0
 
-    def edge_ids(self) -> frozenset[int]:
-        out: set[int] = set()
-        for ear in self.ears:
-            out.update(ear.edges)
-        return frozenset(out)
-
 
 def _sorted_incidence(g: Graph, eids: list[int]) -> dict[int, list[tuple[int, int]]]:
     inc: dict[int, list[tuple[int, int]]] = {}

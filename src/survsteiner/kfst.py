@@ -14,13 +14,22 @@ singleton stands for a lone branching cut node and contributes no
 edges), and joins everything with terminals through a minimum spanning
 tree over 1-protected paths: connections that themselves survive any
 single unsafe failure, i.e. chains of safe edges and two-edge-disjoint
-path pairs. The cheapest feasible assembly over all families wins.
+path pairs. The cheapest assembly over all families wins.
+
+Union lemma: every assembled union passes ``_survives``. No ``pay`` set
+of the table has an unsafe bridge: each is a safe edge, two edge-disjoint
+paths, or a Floyd-Warshall union of two such sets at a shared node. Every
+part container is 2-node-connected. The spanning tree glues all of these
+pieces into one connected subgraph over every part and every pendant
+terminal, and a bridge of the union is a bridge of the piece that holds
+it. So the scan offers each union as it stands; the only feasibility
+tests are ``prefix_feasible`` before it and the sentinel check after it.
 
 One Floyd-Warshall table of those paths serves a whole request: the
 join reads its set-to-set links, which the table keeps, so the
 terminal-terminal links are found once rather than once per family.
-Families are evaluated in order of a cheap bound, in batches of fixed
-size, on the calling thread.
+Families are evaluated in order of a cheap bound, on the calling thread;
+the bound is compared with a floor refreshed once per fixed-size batch.
 """
 
 from __future__ import annotations
@@ -41,10 +50,10 @@ from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import _Incumbent, _solve_core, _Subcalls
 
-# Families are pruned against the incumbent only at batch starts.
-# ``family_bound`` is not admissible (ROADMAP item C): pruning item by
-# item would skip families that are evaluated now and can change which
-# edge set wins a tie, so the batch size is part of the answer.
+# The family bound is compared with a floor refreshed from the incumbent
+# every _BATCH families. The bound is not admissible (ROADMAP item C): a
+# floor refreshed per family would skip families that can win a tie, so
+# the batch size is part of the answer.
 _BATCH = 32
 _MISS = object()
 
@@ -418,7 +427,6 @@ def _kfst_core(
 
     full = frozenset(g2.edge_ids())
     incumbent = _Incumbent(sum(w2), full)
-    term_set = set(t2)
 
     twonc_memo: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
     small_parts = _Subcalls(g0, weights, stats)
@@ -449,20 +457,15 @@ def _kfst_core(
     families = list(_part_families(universe, k))
     stats.iterations += len(families)
 
-    def family_bound(parts) -> tuple[int, frozenset[int]] | None:
+    # the MST weight in the table metric plus max(3, |p|) per multi-node part
+    bounded: list[tuple[int, int, tuple, frozenset[int]]] = []
+    for index, parts in enumerate(families):
         try:
             weight, tree = mst_join(table, parts, t2)
         except InfiniteMst:
-            return None
-        part_lb = sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
-        return weight + part_lb, tree
-
-    bounded: list[tuple[int, int, tuple, frozenset[int]]] = []
-    for index, parts in enumerate(families):
-        got = family_bound(parts)
-        if got is None:
             continue
-        bounded.append((got[0], index, parts, got[1]))
+        weight += sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
+        bounded.append((weight, index, parts, tree))
     bounded.sort(key=lambda item: (item[0], item[1]))
 
     def evaluate(item) -> tuple[int, frozenset[int]] | None:
@@ -476,33 +479,23 @@ def _kfst_core(
                 return None
             union |= got[1]
         cand = frozenset(union)
-        weight_total = sum(w2[e] for e in cand)
-        return weight_total, cand
+        return sum(w2[e] for e in cand), cand
 
-    pos = 0
-    while pos < len(bounded):
-        batch = bounded[pos : pos + _BATCH]
-        pos += _BATCH
-        floor_now = incumbent.weight
-        for item in batch:
-            if item[0] > floor_now:
-                continue
-            outcome = evaluate(item)
-            if outcome is None:
-                continue
-            weight_total, cand = outcome
-            if incumbent.beats(weight_total, cand) and _survives(g2, cand, term_set):
-                if incumbent.offer(weight_total, cand):
-                    stats.updates.append((item[1], weight_total))
-        if bounded and pos < len(bounded) and bounded[pos][0] > incumbent.weight:
-            # sorted by lower bound: nothing after this point can win
+    for pos, item in enumerate(bounded):
+        if pos % _BATCH == 0:
+            floor = incumbent.weight
+        if item[0] > floor:
+            # sorted by (bound, index), and the floor only falls: every
+            # later family stays above it
             break
+        outcome = evaluate(item)
+        # feasible by the union lemma
+        if outcome is not None and incumbent.offer(*outcome):
+            stats.updates.append((item[1], outcome[0]))
 
-    final = incumbent.edges
-    if final == full and not _survives(g2, full, term_set):
+    if incumbent.edges == full and not _survives(g2, full, set(t2)):
         raise Infeasible("no feasible candidate was assembled")
-
-    return final - {eid for _, eid in mod.pendant_map.values()}
+    return incumbent.edges - {eid for _, eid in mod.pendant_map.values()}
 
 
 def solve_kfst_unweighted(

@@ -8,9 +8,18 @@ earlier parts. ``_solve_core``'s scan is the one place
 this space is built. Every configuration assembles a candidate subgraph:
 a minimum Steiner cycle through the first part (three nodes or more,
 since the target subgraph needs them) unioned with a minimum Steiner path
-per later part between its anchors. The smallest feasible candidate wins;
-ties break to the lexicographically smallest edge-id set, so the answer
-does not depend on the scan order, but the recorded updates do.
+per later part between its anchors. The smallest candidate wins; ties
+break to the lexicographically smallest edge-id set, so the answer does
+not depend on the scan order, but the recorded updates do.
+
+Lemma 0: every candidate is feasible (Whitney's ear theorem, 1932). The
+first part's cycle has at least 3 nodes (``min_nodes=3``). Each later
+path is simple, and its ends s < t lie on the union so far, so every
+stretch of it outside the union has two distinct ends on the union: an
+open ear. So every union is 2-node-connected, and it covers the ground,
+which contains T. The scan therefore offers each candidate as it stands;
+the only feasibility tests are ``prefix_feasible`` before it and the
+check of the all-edges sentinel after it.
 
 Two parts of the space are counted but never searched, because every
 candidate in them was offered before and the register only decreases,
@@ -23,14 +32,14 @@ Three edge-count bounds skip the parts of the space whose candidates are
 all heavier than the incumbent. Edge weights are integers >= 1, and each
 bound is strict, so a candidate that ties the incumbent still reaches the
 comparison of edge-id tuples. Every candidate over a ground covers the
-ground, and a feasible one is 2-node-connected on >= 3 nodes, so each of
-its nodes has degree >= 2.
+ground, and by lemma 0 every one is 2-node-connected on >= 3 nodes, so
+each of its nodes has degree >= 2.
 
 1. Ears. Let P be a partial union (the first part's cycle, then each
    added path) and N the ground nodes it misses. Every edge at a node of
    N is new, the degrees at N need >= 2|N| edge ends, and >= 2 new edges
    leave N: with one, its end outside N would separate N from the rest
-   of P's >= 3 nodes, a cut node. So a feasible union adds >= |N| + 1
+   of P's >= 3 nodes, a cut node. So a completed union adds >= |N| + 1
    edges, and a prefix with ``weight + |N| + 1 > incumbent`` is pruned.
 2. Later parts. A feasible union has at least as many edges as nodes, so
    its weight is at least |ground|, and at exactly |ground| it is a simple
@@ -63,7 +72,7 @@ from fractions import Fraction
 from .cycles import SearchPrep, search_min_cycle, search_min_path
 from .enumeration import count_anchor_vectors, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath
-from .graph import Graph, is_2nc, subgraph_nodes
+from .graph import Graph, is_2nc
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
 
@@ -106,9 +115,8 @@ class _Subcalls:
             return hit
         result: _Result | None
         try:
-            # the target subgraph needs >= 3 nodes
-            total, eids, _ = search_min_cycle(self.g, part, min_nodes=3, prep=self.prep)
-            result = self._result(total, eids)
+            # the target subgraph needs >= 3 nodes (lemma 0)
+            result = self._result(*search_min_cycle(self.g, part, min_nodes=3, prep=self.prep))
         except NoCycle:
             result = None
         self.stats.count("cycle_calls")
@@ -138,12 +146,6 @@ class _Incumbent:
         self.key = tuple(sorted(edges))
         self.edges = edges
 
-    def beats(self, weight: int, edges: frozenset[int]) -> bool:
-        """Would ``offer`` accept this candidate now? The register only
-        decreases, so a feasibility test is needed only where this holds."""
-        key = tuple(sorted(edges))
-        return (weight, key) < (self.weight, self.key)
-
     def offer(self, weight: int, edges: frozenset[int]) -> bool:
         key = tuple(sorted(edges))
         if (weight, key) < (self.weight, self.key):
@@ -172,10 +174,6 @@ def _solve_core(
     incumbent = _Incumbent(calls._weigh(full), full)
     term_set = set(terms)
     bound = max(2 * k - 4, 0)
-
-    def feasible(edges: frozenset[int]) -> bool:
-        return term_set <= subgraph_nodes(g, edges) and is_2nc(g, edges)
-
     iterations = 0
     totals = [count_anchor_vectors(size, k) for size in range(k + bound + 1)]
     ground_skips = later_part_skips = ear_prunes = 0
@@ -221,10 +219,9 @@ def _solve_core(
                     ear_prunes += 1  # lemma 1
                     return
                 if idx == len(dims):
-                    # feasibility is only ever tested on would-be updates
-                    if incumbent.beats(weight, union) and feasible(union):
-                        if incumbent.offer(weight, union):
-                            stats.updates.append((subset_index, weight))
+                    # feasible by lemma 0
+                    if incumbent.offer(weight, union):
+                        stats.updates.append((subset_index, weight))
                     return
                 part = parts[idx + 1]
                 for s, t in dims[idx]:
@@ -243,11 +240,10 @@ def _solve_core(
     stats.count("later_part_skips", later_part_skips)
     stats.count("ear_prunes", ear_prunes)
 
-    final = incumbent.edges
-    if final == full and not feasible(full):
+    if incumbent.edges == full and not is_2nc(g, full):
         # the sentinel never got replaced and is itself no solution
         raise Infeasible("no feasible candidate was assembled")
-    return incumbent.weight, final
+    return incumbent.weight, incumbent.edges
 
 
 def solve_2ncs_unweighted(

@@ -1,6 +1,7 @@
 """Pendant gadget, protected paths, the join over parts and terminals,
 the survivability test, and the solvers."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from survsteiner import (
     solve_kfst_weighted,
     strip_pendant_gadget,
 )
+from survsteiner import kfst, twonc
 from survsteiner.instance_io import read_instance
 from survsteiner.kfst import _survives
 
@@ -377,7 +379,7 @@ class TestTieBreak:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="family_bound is not admissible and families are pruned per "
+        reason="the family bound is not admissible and families are pruned per "
         "batch, so the scan skips the family that yields the lexicographically "
         "smallest optimum and returns [2, 8, 9, 10, 12, 13] (ROADMAP item C)",
     )
@@ -469,6 +471,120 @@ class TestFourTerminals:
         assert stats.subcalls["twonc_path_calls"] > 0
         for name in ("cycle_calls", "ground_skips", "later_part_skips", "ear_prunes"):
             assert f"twonc_{name}" in stats.subcalls, name
+
+
+# The reference's batch size, fixed here: the solver's ``_BATCH`` is part
+# of its answer until the family bound is admissible (ROADMAP item C)
+REFERENCE_BATCH = 32
+
+
+def reference_kfst_scan(inst, weights, stats):
+    """The k-FST family scan in batch slices (k >= 3): bounded families
+    sorted by (bound, index), evaluated in slices of ``REFERENCE_BATCH``
+    against a floor read at each slice start, a break after a slice whose
+    successor starts above the incumbent, and ``_survives`` on every
+    would-be update. Returns the edges in original ids."""
+    g0, k = inst.graph, len(inst.terminals)
+    mod = apply_pendant_gadget(inst)
+    g2, t2 = mod.graph, sorted(mod.terminals)
+    w2 = [(weights or {}).get(e, 1) for e in range(g0.m)] + [1] * k
+    table = build_protected_table(g2, w2)
+    full = frozenset(g2.edge_ids())
+    incumbent = twonc._Incumbent(sum(w2), full)
+    small_parts = twonc._Subcalls(g0, weights, SolveStats())
+
+    @functools.cache
+    def container(part):
+        if len(part) <= 3:
+            return small_parts.cycle(part)
+        try:
+            return twonc._solve_core(g0, part, weights=weights)
+        except Infeasible:
+            return None
+
+    families = list(kfst._part_families(list(range(g0.n)), k))
+    stats.iterations += len(families)
+    bounded = []
+    for index, parts in enumerate(families):
+        try:
+            weight, tree = mst_join(table, parts, t2)
+        except InfiniteMst:
+            continue
+        weight += sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
+        bounded.append((weight, index, parts, tree))
+    bounded.sort(key=lambda item: item[:2])
+
+    pos = 0
+    while pos < len(bounded):
+        batch = bounded[pos : pos + REFERENCE_BATCH]
+        pos += REFERENCE_BATCH
+        floor = incumbent.weight
+        for bound, index, parts, tree in batch:
+            if bound > floor:
+                continue
+            got = [container(p) for p in parts if len(p) > 1]
+            if None in got:
+                continue
+            cand = frozenset(tree.union(*(c[1] for c in got)))
+            weight = sum(w2[e] for e in cand)
+            if (weight, tuple(sorted(cand))) < (incumbent.weight, incumbent.key) and (
+                _survives(g2, cand, set(t2))
+            ):
+                if incumbent.offer(weight, cand):
+                    stats.updates.append((index, weight))
+        if pos < len(bounded) and bounded[pos][0] > incumbent.weight:
+            break
+    if incumbent.edges == full and not _survives(g2, full, set(t2)):
+        raise Infeasible("no feasible candidate")
+    return incumbent.edges - {eid for _, eid in mod.pendant_map.values()}
+
+
+def reference_case(k, ecs, weighted, seed):
+    """A seeded k-FST instance, all-unsafe (2ECS) when ``ecs``, and its edge
+    weights (None for unit): k = 3 on 7-11 nodes with 2-4 chords and
+    weights 1-4, or k = 4 on 6 nodes with 3-5 chords and weights 1-2 (a
+    weighted k = 4 scan on 7 nodes can take seconds)."""
+    rng = random.Random(f"kfst-b-{seed}")
+    n = 6 if k == 4 else 7 + seed % 5
+    g = mixed_ring_chords(rng, n, n + k - 1 + rng.randrange(0, 3), 0.4)
+    if ecs:
+        g = Graph.build(n, [(e.u, e.v, e.cost, False) for e in g.edges])
+    weights = {e: rng.randint(1, 7 - k) for e in g.edge_ids()} if weighted else None
+    return FstInstance(g, frozenset(rng.sample(range(n), k))), weights
+
+
+# (k, ecs, weighted, seed). The unit k = 4 k-FST seeds are the four of the
+# first 40 whose answer or updates change with the batch size: 1 and 26
+# under a batch of 1, 28 and 37 under a batch of 64
+REFERENCE_CASES = (
+    [(4, False, False, seed) for seed in (1, 26, 28, 37)]
+    + [(4, True, False, seed) for seed in range(4)]
+    + [(4, ecs, True, seed) for ecs in (False, True) for seed in range(2)]
+    + [(3, ecs, weighted, seed) for ecs in (False, True) for weighted in (False, True)
+       for seed in range(5)]
+)
+
+
+class TestReferenceScan:
+    """The one-pass family loop against ``reference_kfst_scan``: exact
+    edges, ``iterations`` and ``updates``, over k-FST and 2ECS, unit and
+    integer weights, k = 3 and 4. Mutations checked against, each failing
+    a case: ``_BATCH = 1``, ``_BATCH = 64``, and a floor read once before
+    the loop."""
+
+    @pytest.mark.parametrize("k,ecs,weighted,seed", REFERENCE_CASES)
+    def test_matches_the_reference(self, k, ecs, weighted, seed):
+        inst, weights = reference_case(k, ecs, weighted, seed)
+        ref_stats, stats = SolveStats(), SolveStats()
+        try:
+            want = reference_kfst_scan(inst, weights, ref_stats)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                kfst._kfst_core(inst, weights=weights, stats=stats)
+            return
+        assert kfst._kfst_core(inst, weights=weights, stats=stats) == want
+        assert stats.iterations == ref_stats.iterations
+        assert stats.updates == ref_stats.updates
 
 
 class TestTwoEdgeConnected:

@@ -215,7 +215,10 @@ def reference_scan(g, terms, weights, subset_bound, stats):
             def walk(idx, union, weight):
                 if idx == len(pools):
                     stats.iterations += 1
-                    if incumbent.beats(weight, union) and feasible(union):
+                    # feasibility is tested only on would-be updates,
+                    # independently of the solver's lemma 0
+                    key = tuple(sorted(union))
+                    if (weight, key) < (incumbent.weight, incumbent.key) and feasible(union):
                         if incumbent.offer(weight, union):
                             stats.updates.append((index, weight))
                     return
