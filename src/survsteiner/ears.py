@@ -11,8 +11,9 @@ after the first is an open path.
 tree is walked in preorder and every back edge spawns a chain running from
 its upper endpoint down the back edge and then up tree edges to the first
 node already in a chain. ``terminal_ear_decomposition`` instead grows the
-body terminal by terminal using two-fans found with a small unit-capacity
-max-flow, so each early ear carries a terminal as an internal node.
+body terminal by terminal using two-fans, unit max-flows of value two
+found by the augmenting-path routine ``graph._augment`` that also prices
+k-FST protected paths, so each early ear carries a terminal internally.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import NotTwoConnected, TerminalMissing
-from .graph import Graph, _view, is_connected, is_2nc
+from .graph import Graph, _augment, _incidence, _view, is_connected, is_2nc
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,6 @@ class EarDecomposition:
     terminal_prefix: int = 0
 
 
-def _sorted_incidence(g: Graph, eids: list[int]) -> dict[int, list[tuple[int, int]]]:
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for eid in eids:
-        e = g.edges[eid]
-        inc.setdefault(e.u, []).append((eid, e.v))
-        inc.setdefault(e.v, []).append((eid, e.u))
-    return inc
-
-
 def ear_decomposition(
     g: Graph, open_required: bool = False, edges: Iterable[int] | None = None
 ) -> EarDecomposition:
@@ -76,7 +68,7 @@ def ear_decomposition(
     if open_required and len(nodes) < 3:
         raise NotTwoConnected("open decomposition needs at least 3 nodes")
 
-    inc = _sorted_incidence(g, eids)
+    inc = _incidence(g, eids)
     root = min(nodes)
     disc: dict[int, int] = {root: 0}
     parent: dict[int, int] = {}
@@ -203,50 +195,6 @@ def check_ear_decomposition(
             raise ValueError("terminal prefix does not cover all terminals")
 
 
-class _FlowNet:
-    """Tiny unit-capacity max-flow network with node splitting."""
-
-    def __init__(self) -> None:
-        self.adj: dict[object, list[list]] = {}
-
-    def add(self, a: object, b: object, cap: int, eid: int | None = None) -> None:
-        # arc: [head, cap, eid, twin index, is_forward]
-        fa = self.adj.setdefault(a, [])
-        fb = self.adj.setdefault(b, [])
-        fa.append([b, cap, eid, len(fb), True])
-        fb.append([a, 0, eid, len(fa) - 1, False])
-
-    def augment(self, src: object, dst: object) -> bool:
-        prev: dict[object, tuple[object, int]] = {src: (src, -1)}
-        queue = [src]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for ai, arc in enumerate(self.adj[x]):
-                head, cap = arc[0], arc[1]
-                if cap <= 0 or head in prev:
-                    continue
-                prev[head] = (x, ai)
-                if head == dst:
-                    cur = dst
-                    while cur != src:
-                        tail, idx = prev[cur]
-                        arc2 = self.adj[tail][idx]
-                        arc2[1] -= 1
-                        self.adj[cur][arc2[3]][1] += 1
-                        cur = tail
-                    return True
-                queue.append(head)
-        return False
-
-    def flow_on(self, arc: list) -> int:
-        return self.adj[arc[0]][arc[3]][1] if arc[4] else 0
-
-    def consume(self, arc: list) -> None:
-        self.adj[arc[0]][arc[3]][1] -= 1
-
-
 def _two_fan(
     g: Graph,
     eids: list[int],
@@ -256,64 +204,58 @@ def _two_fan(
 ) -> list[tuple[list[int], list[int]]]:
     """Two node-disjoint paths from ``source`` to the body over ``eids``.
 
-    Internal nodes get capacity one (split into in/out copies), body nodes
-    only absorb flow, so the paths share nothing except the source. With a
-    singleton body both paths may end at the same body node (a cycle).
-    Returns two (node list, edge-id list) paths source-to-body.
+    A unit-capacity flow network split at the nodes: node v enters at 2v
+    and leaves at 2v + 1, and the sink is 2n. Internal nodes pass one
+    unit from entry to exit, body nodes only absorb flow (``body_cap``
+    units each, into the sink), so the paths share nothing except the
+    source. With a singleton body both paths may end at the same body
+    node (a cycle). Two calls of ``graph._augment`` at cost zero find the
+    flow; each path is then traced from the source along the spent
+    forward arcs. Returns two (node list, edge-id list) paths
+    source-to-body.
     """
-    net = _FlowNet()
-    sink = ("sink",)
+    sink = 2 * g.n
+    head: list[int] = []
+    cap: list[int] = []
+    arc_eid: list[int] = []
+    out: list[list[int]] = [[] for _ in range(sink + 1)]
+
+    def add(x: int, y: int, units: int, eid: int = -1) -> None:
+        out[x].append(len(head))
+        out[y].append(len(head) + 1)
+        head.extend((y, x))
+        cap.extend((units, 0))
+        arc_eid.extend((eid, eid))
+
     for b in sorted(body):
-        net.add(("b", b), sink, body_cap)
-
-    def tail_of(x: int):
-        return ("out", x) if x != source else ("src",)
-
+        add(2 * b, sink, body_cap)
     transit: set[int] = set()
     for eid in eids:
         e = g.edges[eid]
         for x, y in ((e.u, e.v), (e.v, e.u)):
-            if x in body:
+            if x in body or y == source:
                 continue
-            if y == source:
-                continue
-            head = ("b", y) if y in body else ("in", y)
-            if y not in body and y not in transit and y != source:
+            if y not in body and y not in transit:
                 transit.add(y)
-                net.add(("in", y), ("out", y), 1)
-            net.add(tail_of(x), head, 1, eid)
+                add(2 * y, 2 * y + 1, 1)
+            add(2 * x + 1, 2 * y, 1, eid)
 
-    src = ("src",)
-    if src not in net.adj:
-        raise NotTwoConnected(f"node {source} has no usable edges")
-    pushed = 0
-    while pushed < 2 and net.augment(src, sink):
-        pushed += 1
-    if pushed < 2:
-        raise NotTwoConnected(f"no two-fan from node {source} to the body")
+    cost = [0] * len(head)
+    for _ in range(2):
+        if _augment(head, cost, cap, out, 2 * source + 1, sink) is None:
+            raise NotTwoConnected(f"no two-fan from node {source} to the body")
 
     paths: list[tuple[list[int], list[int]]] = []
-    for arc in net.adj[src]:
-        if len(paths) == 2:
-            break
-        if not arc[4] or net.flow_on(arc) < 1:
-            continue
+    for _ in range(2):
         nodes = [source]
         eids_path: list[int] = []
-        cur = arc
-        while True:
-            net.consume(cur)
-            eids_path.append(cur[2])
-            kind, v = cur[0][0], cur[0][1]
+        v = source
+        while v not in body:
+            ai = next(a for a in out[2 * v + 1] if a % 2 == 0 and cap[a] == 0)
+            cap[ai] = 1  # traced: the second path must not take it again
+            eids_path.append(arc_eid[ai])
+            v = head[ai] // 2
             nodes.append(v)
-            if kind == "b":
-                break
-            cur = next(
-                (c for c in net.adj[("out", v)] if c[4] and net.flow_on(c) >= 1),
-                None,
-            )
-            if cur is None:
-                raise NotTwoConnected("flow paths could not be traced")
         paths.append((nodes, eids_path))
     return paths
 
@@ -369,7 +311,7 @@ def terminal_ear_decomposition(
         add_fan_ear(h.edges[first_eid].other(base))
         # the fan source sits on the cycle, not in the terminal prefix
 
-    inc = _sorted_incidence(h, list(eids))
+    inc = _incidence(h, eids)
     while len(covered) != len(eids):
         pick = None
         for eid in eids:

@@ -135,12 +135,7 @@ def _view(g: Graph, edges: Iterable[int] | None) -> tuple[list[int], list[int]]:
     if edges is None:
         return list(range(g.n)), list(g.edge_ids())
     eids = sorted(edges)
-    nodes: set[int] = set()
-    for eid in eids:
-        e = g.edges[eid]
-        nodes.add(e.u)
-        nodes.add(e.v)
-    return sorted(nodes), eids
+    return sorted(subgraph_nodes(g, eids)), eids
 
 
 def subgraph_nodes(g: Graph, edges: Iterable[int]) -> frozenset[int]:
@@ -150,6 +145,16 @@ def subgraph_nodes(g: Graph, edges: Iterable[int]) -> frozenset[int]:
         nodes.add(e.u)
         nodes.add(e.v)
     return frozenset(nodes)
+
+
+def _incidence(g: Graph, eids: Iterable[int]) -> dict[int, list[tuple[int, int]]]:
+    """``(edge id, other end)`` lists per node, in the order of ``eids``."""
+    inc: dict[int, list[tuple[int, int]]] = {}
+    for eid in eids:
+        e = g.edges[eid]
+        inc.setdefault(e.u, []).append((eid, e.v))
+        inc.setdefault(e.v, []).append((eid, e.u))
+    return inc
 
 
 def degrees(g: Graph, edges: Iterable[int] | None = None) -> dict[int, int]:
@@ -217,11 +222,7 @@ def blocks_and_cuts(
     two or more blocks; bridges are exactly the single-edge blocks.
     """
     _, eids = _view(g, edges)
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for eid in eids:
-        e = g.edges[eid]
-        inc.setdefault(e.u, []).append((eid, e.v))
-        inc.setdefault(e.v, []).append((eid, e.u))
+    inc = _incidence(g, eids)
 
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -302,3 +303,49 @@ def is_2nc(g: Graph, edges: Iterable[int] | None = None) -> bool:
         return False
     _, cuts, _ = blocks_and_cuts(g, eids)
     return not cuts
+
+
+def _augment(
+    head: list[int],
+    cost: list[int],
+    cap: list[int],
+    out: list[list[int]],
+    src: int,
+    dst: int,
+) -> int | None:
+    """Push one unit along a cheapest residual src-dst path; its cost, or
+    None (``cap`` untouched) when ``dst`` is unreachable.
+
+    The network is arc arrays: arc i runs into ``head[i]`` at ``cost[i]``
+    with ``cap[i]`` units left, ``out[x]`` lists the arcs leaving node x,
+    and arc i ^ 1 is the reverse twin of arc i, carrying the cost negated.
+    Bellman-Ford copes with those negative residual costs; among
+    equal-cost routes the first one found wins.
+    """
+    dist: list[int | None] = [None] * len(out)
+    pre: list[int] = [-1] * len(out)
+    dist[src] = 0
+    frontier = {src}
+    while frontier:
+        nxt = set()
+        for u in frontier:
+            du = dist[u]
+            for ai in out[u]:
+                if cap[ai] <= 0:
+                    continue
+                v = head[ai]
+                cand = du + cost[ai]
+                if dist[v] is None or cand < dist[v]:
+                    dist[v] = cand
+                    pre[v] = ai
+                    nxt.add(v)
+        frontier = nxt
+    if dist[dst] is None:
+        return None
+    v = dst
+    while v != src:
+        ai = pre[v]
+        cap[ai] -= 1
+        cap[ai ^ 1] += 1
+        v = head[ai ^ 1]
+    return dist[dst]

@@ -26,8 +26,7 @@ it. So the scan offers each union as it stands; the only feasibility
 tests are ``prefix_feasible`` before it and the sentinel check after it.
 
 One Floyd-Warshall table of those paths serves a whole request: the
-join reads its set-to-set links, which the table keeps, so the
-terminal-terminal links are found once rather than once per family.
+join reads each set-to-set link from it as a minimum over node pairs.
 Families are evaluated in order of a cheap bound, on the calling thread;
 the bound is compared with a floor refreshed once per fixed-size batch.
 """
@@ -45,7 +44,7 @@ from .errors import (
     NoProtectedPath,
     NotModified,
 )
-from .graph import Graph, blocks_and_cuts, is_connected, subgraph_nodes
+from .graph import Graph, _augment, blocks_and_cuts, is_connected, subgraph_nodes
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import _Incumbent, _solve_core, _Subcalls
@@ -118,12 +117,13 @@ def _two_disjoint_paths(
 ) -> tuple[int, frozenset[int]] | None:
     """Minimum total weight of two edge-disjoint a-b paths, or None.
 
-    Two rounds of successive shortest augmenting paths on the residual
-    network of ``_protected_arcs``, whose capacities start afresh here.
-    All weights are >= 1, so a minimum cost flow never sends a unit both
-    ways along one edge and the two units decompose into genuinely
-    edge-disjoint paths. An end of degree below 2 (every pendant node)
-    has no such pair; each incident edge lists two arcs at its node.
+    Two calls of ``graph._augment`` (successive shortest augmenting
+    paths) on the residual network of ``_protected_arcs``, whose
+    capacities start afresh here. All weights are >= 1, so a minimum
+    cost flow never sends a unit both ways along one edge and the two
+    units decompose into genuinely edge-disjoint paths. An end of degree
+    below 2 (every pendant node) has no such pair; each incident edge
+    lists two arcs at its node.
     """
     head, cost, eid, out = net
     if a == b or len(out[a]) < 4 or len(out[b]) < 4:
@@ -131,34 +131,10 @@ def _two_disjoint_paths(
     cap = [1, 0] * (len(head) // 2)
     total = 0
     for _ in range(2):
-        # Bellman-Ford over the residual graph (negative residual costs)
-        dist: list[int | None] = [None] * len(out)
-        pre: list[int] = [-1] * len(out)
-        dist[a] = 0
-        frontier = {a}
-        while frontier:
-            nxt = set()
-            for u in frontier:
-                du = dist[u]
-                for ai in out[u]:
-                    if cap[ai] <= 0:
-                        continue
-                    v = head[ai]
-                    cand = du + cost[ai]
-                    if dist[v] is None or cand < dist[v]:
-                        dist[v] = cand
-                        pre[v] = ai
-                        nxt.add(v)
-            frontier = nxt
-        if dist[b] is None:
+        got = _augment(head, cost, cap, out, a, b)
+        if got is None:
             return None
-        total += dist[b]
-        v = b
-        while v != a:
-            ai = pre[v]
-            cap[ai] -= 1
-            cap[ai ^ 1] += 1
-            v = head[ai ^ 1]
+        total += got
     # a consumed forward capacity marks a used edge
     used = frozenset(eid[ai] for ai in range(0, len(cap), 2) if cap[ai] == 0)
     return total, used
@@ -215,15 +191,11 @@ class ProtectedPathTable:
 
     Symmetric, zero on the diagonal, and every stored edge set really
     keeps its endpoints connected through any single unsafe failure.
-    ``link`` answers set-to-set queries and keeps them, so one table
-    serves every family of a request.
+    ``link`` answers set-to-set queries from it.
     """
 
     dist: list[list[int | None]]
     pay: list[list[frozenset[int] | None]]
-    links: dict[tuple[frozenset[int], frozenset[int]], tuple[int, int, int] | None] = (
-        field(default_factory=dict, repr=False)
-    )
 
     def cost(self, u: int, v: int) -> int | None:
         return self.dist[u][v]
@@ -235,15 +207,11 @@ class ProtectedPathTable:
         """Cheapest ``(weight, u, v)`` with u in a and v in b, the
         smallest such triple on ties; None when no pair is protected.
         Overlapping sets link at weight 0 through a shared node."""
-        key = (a, b)
-        got = self.links.get(key, _MISS)
-        if got is _MISS:
-            dist = self.dist
-            got = self.links[key] = min(
-                ((dist[u][v], u, v) for u in a for v in b if dist[u][v] is not None),
-                default=None,
-            )
-        return got
+        dist = self.dist
+        return min(
+            ((dist[u][v], u, v) for u in a for v in b if dist[u][v] is not None),
+            default=None,
+        )
 
 
 def build_protected_table(

@@ -158,6 +158,17 @@ class TestTerminalEarDecomposition:
                 g, dec, open_required=True, terminals=set(terms)
             )
 
+    def test_fan_reroutes_through_a_used_node(self):
+        # the first fan path from 5 to the body {2} is 5-4-1-2, which
+        # holds both of 5's ways into node 1; the second search must send
+        # the flow on chord 4-1 back to end with 5-4-3-2 and 5-6-1-2
+        g = Graph.build(
+            7,
+            [(i, (i + 1) % 7) for i in range(7)] + [(1, 4), (1, 6), (1, 6)],
+        )
+        dec = terminal_ear_decomposition(g, [2, 5])
+        check_ear_decomposition(g, dec, open_required=True, terminals={2, 5})
+
     def test_missing_terminal_raises(self):
         with pytest.raises(TerminalMissing):
             terminal_ear_decomposition(cycle_graph(4), [0, 9])

@@ -17,6 +17,7 @@ from survsteiner import (
     is_connected,
     subgraph_nodes,
 )
+from survsteiner.graph import _augment
 
 
 def triangle():
@@ -221,3 +222,27 @@ def test_attaching_a_path_preserves_2nc(seed):
         extra.append((base + i, base + i + 1, 1, True))
     extra.append((base + tail - 1, b, 1, True))
     assert is_2nc(inner.extended(tail, extra))
+
+
+class TestAugment:
+    """``_augment`` over arc arrays: arc i ^ 1 is the reverse twin of arc i."""
+
+    @staticmethod
+    def chain():
+        # 0 -> 1 at cost 2, 1 -> 2 at cost 3, one unit each; node 3 is cut off
+        head, cost, cap = [1, 0, 2, 1], [2, -2, 3, -3], [1, 0, 1, 0]
+        out = [[0], [1, 2], [3], []]
+        return head, cost, cap, out
+
+    def test_pushes_one_unit_and_frees_the_twins(self):
+        head, cost, cap, out = self.chain()
+        assert _augment(head, cost, cap, out, 0, 2) == 5
+        assert cap == [0, 1, 0, 1]
+
+    def test_unreachable_returns_none_and_leaves_capacities(self):
+        head, cost, cap, out = self.chain()
+        assert _augment(head, cost, cap, out, 0, 3) is None
+        assert cap == [1, 0, 1, 0]
+        _augment(head, cost, cap, out, 0, 2)
+        assert _augment(head, cost, cap, out, 0, 2) is None
+        assert cap == [0, 1, 0, 1]

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and every
+top-level definition is read somewhere or exported."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,56 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def reads(node: ast.AST) -> set[str]:
+    """Names a syntax tree reads, bare or as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.attr)
+    return found
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each top-level function or class (``__init__.py``
+    aside) that no ``__all__`` lists and no other top-level statement of
+    the sources reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    exported = set()
+    statements = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ):
+                exported |= set(ast.literal_eval(stmt.value))
+            statements.append((module, stmt, reads(stmt)))
+    dead = []
+    for module, stmt, _ in statements:
+        if (
+            module == "__init__.py"
+            or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            or stmt.name in exported
+        ):
+            continue
+        if not any(stmt.name in r for _, other, r in statements if other is not stmt):
+            dead.append(f"{module}:{stmt.name}")
+    return dead
+
+
+def test_the_check_sees_a_dead_definition():
+    sources = {
+        "__init__.py": "from .a import f\n__all__ = ['f']\n",
+        "a.py": "def f(): return g\ndef g(): pass\ndef h(): return h()\n"
+        "class K: pass\n",
+        "b.py": "from . import a\nx = a.K\n",
+    }
+    assert dead_definitions(sources) == ["a.py:h"]
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_definitions(sources) == []

@@ -146,6 +146,19 @@ class TestProtectedPaths:
             for v in range(g.n):
                 assert table.cost(u, v) == table.cost(v, u)
 
+    def test_second_pair_cancels_the_first_path(self):
+        # the cheapest single 0-3 path 0-1-2-3 (weight 3) leaves no second
+        # path on the other edges; the second search must send the flow on
+        # edge 1 (1-2) back to end with 0-1-3 and 0-2-3 (weight 8)
+        g = Graph.build(
+            4,
+            [(0, 1, 1, False), (1, 2, 1, False), (2, 3, 1, False),
+             (0, 2, 1, False), (1, 3, 1, False)],
+        )
+        table = build_protected_table(g, [1, 1, 1, 3, 3])
+        assert table.dist[0][3] == 8
+        assert table.pay[0][3] == frozenset({0, 2, 3, 4})
+
     @pytest.mark.parametrize("seed", range(10))
     def test_table_matches_all_pairs_oracle(self, seed):
         # the pendant graph adds degree-1 nodes, which no pair search reaches
@@ -183,10 +196,8 @@ class TestAuxiliaryGraph:
         )
         table = build_protected_table(g)
         assert mst_join(table, [{0}], [1, 2, 3]) == (3, frozenset({0, 1, 3}))
-        assert len(table.links) == 6
-        # a second family with the same terminals reuses every link
+        # a second family with the same terminals gets the same join
         assert mst_join(table, [{0}], [1, 2, 3]) == (3, frozenset({0, 1, 3}))
-        assert len(table.links) == 6
 
     def test_overlap_means_free_edge(self):
         g = Graph.build(2, [(0, 1, 1, True)])
