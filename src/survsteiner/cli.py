@@ -213,6 +213,10 @@ def _run_solve(args) -> int:
             f"solving as {kind.value}",
             file=sys.stderr,
         )
+    need = 1 if kind is ProblemKind.CYCLE else 2
+    if len(inst.terminals) < need:
+        print(f"survsteiner: {kind.value} needs {need}+ terminals", file=sys.stderr)
+        return EXIT_USAGE
     if args.threads < 1:
         print("survsteiner: --threads must be >= 1", file=sys.stderr)
         return EXIT_USAGE

@@ -10,10 +10,18 @@ after the first is an open path.
 ``ear_decomposition`` computes one via chain decomposition: a depth-first
 tree is walked in preorder and every back edge spawns a chain running from
 its upper endpoint down the back edge and then up tree edges to the first
-node already in a chain. ``terminal_ear_decomposition`` instead grows the
-body terminal by terminal using two-fans, unit max-flows of value two
-found by the augmenting-path routine ``graph._augment`` that also prices
-k-FST protected paths, so each early ear carries a terminal internally.
+node already in a chain. ``terminal_ear_decomposition`` instead builds
+every ear of two or more edges as a two-fan: two paths from a node off the
+body to the body that share only that node, found as a unit max-flow of
+value two by ``graph._augment``, the routine that also prices k-FST
+protected paths. The fan lemma (Dirac 1960, from Menger 1927) says such a
+fan exists in a 2-node-connected graph from any node to any body of at
+least two nodes, with the paths ending at distinct body nodes, so each fan
+is an open ear. The first fan meets a one-node body (the base), so both of
+its paths end there and it closes into a cycle through the base, which
+exists because any two nodes of a 2-node-connected graph share a cycle.
+Fans start at the terminals first, so each early ear carries a terminal
+internally, then at the other nodes; the edges left over are chords.
 """
 
 from __future__ import annotations
@@ -200,19 +208,17 @@ def _two_fan(
     eids: list[int],
     source: int,
     body: set[int],
-    body_cap: int,
 ) -> list[tuple[list[int], list[int]]]:
     """Two node-disjoint paths from ``source`` to the body over ``eids``.
 
     A unit-capacity flow network split at the nodes: node v enters at 2v
     and leaves at 2v + 1, and the sink is 2n. Internal nodes pass one
-    unit from entry to exit, body nodes only absorb flow (``body_cap``
-    units each, into the sink), so the paths share nothing except the
-    source. With a singleton body both paths may end at the same body
-    node (a cycle). Two calls of ``graph._augment`` at cost zero find the
-    flow; each path is then traced from the source along the spent
-    forward arcs. Returns two (node list, edge-id list) paths
-    source-to-body.
+    unit from entry to exit, body nodes only absorb flow into the sink
+    (one unit each, or two for a one-node body, whose fan is a cycle), so
+    the paths share nothing except the source. Two calls of
+    ``graph._augment`` at cost zero find the flow; each path is then
+    traced from the source along the spent forward arcs. Returns two
+    (node list, edge-id list) paths source-to-body.
     """
     sink = 2 * g.n
     head: list[int] = []
@@ -228,7 +234,7 @@ def _two_fan(
         arc_eid.extend((eid, eid))
 
     for b in sorted(body):
-        add(2 * b, sink, body_cap)
+        add(2 * b, sink, 2 if len(body) == 1 else 1)
     transit: set[int] = set()
     for eid in eids:
         e = g.edges[eid]
@@ -265,11 +271,15 @@ def terminal_ear_decomposition(
 ) -> EarDecomposition:
     """Open ear decomposition whose early ears each carry a terminal internally.
 
-    The base node is the smallest terminal; while terminals remain
-    uncovered, a two-fan from the smallest uncovered terminal to the body
-    forms the next ear (the first fan closes into a cycle through the
-    base). That takes at most |terminals| - 1 ears. Remaining edges are
-    then appended as ordinary open ears.
+    The base is the smallest terminal. By the fan lemma (module docstring)
+    a node off a body of at least two nodes has an open two-fan to it, and
+    the first fan, whose body is the base alone, is a cycle through the
+    base. A fan's paths meet the body only at their ends, so they use
+    uncovered edges only. Ears come in this order: a fan from each terminal
+    still off the body, smallest first (at most |terminals| - 1 of them,
+    the terminal prefix); then a fan from each edge endpoint still off the
+    body, in edge-id order, so isolated nodes of the view are never
+    sources; then every uncovered edge as a one-edge ear (a chord).
     """
     nodes, eids = _view(h, edges)
     node_set = set(nodes)
@@ -289,7 +299,7 @@ def terminal_ear_decomposition(
 
     def add_fan_ear(source: int) -> None:
         avail = [eid for eid in eids if eid not in covered]
-        p1, p2 = _two_fan(h, avail, source, body, 2 if len(body) == 1 else 1)
+        p1, p2 = _two_fan(h, avail, source, body)
         seq_nodes = list(reversed(p1[0])) + p2[0][1:]
         seq_edges = list(reversed(p1[1])) + p2[1]
         ears.append(
@@ -298,69 +308,16 @@ def terminal_ear_decomposition(
         body.update(seq_nodes)
         covered.update(seq_edges)
 
-    while True:
-        uncovered = [t for t in terms if t not in body]
-        if not uncovered:
-            break
-        add_fan_ear(uncovered[0])
+    for t in terms:
+        if t not in body:
+            add_fan_ear(t)
     prefix = len(ears)
-
-    if not ears:
-        # lone terminal: still need the opening cycle through the base
-        first_eid = min(eid for eid in eids if base in h.edges[eid].ends)
-        add_fan_ear(h.edges[first_eid].other(base))
-        # the fan source sits on the cycle, not in the terminal prefix
-
-    inc = _incidence(h, eids)
-    while len(covered) != len(eids):
-        pick = None
-        for eid in eids:
-            if eid in covered:
-                continue
+    for eid in eids:
+        for v in h.edges[eid].ends:
+            if v not in body:
+                add_fan_ear(v)
+    for eid in eids:
+        if eid not in covered:
             e = h.edges[eid]
-            if e.u in body or e.v in body:
-                pick = e
-                break
-        if pick is None:
-            raise NotTwoConnected("uncovered edges detached from the body")
-        if pick.u in body and pick.v in body:
-            ears.append(Ear((pick.u, pick.v), (pick.id,), False))
-            covered.add(pick.id)
-            continue
-        u = pick.u if pick.u in body else pick.v
-        w = pick.other(u)
-        # shortest escape from w back to the body avoiding u, on fresh edges
-        prev: dict[int, tuple[int, int]] = {w: (-1, -1)}
-        queue = [w]
-        qi = 0
-        hit = None
-        while qi < len(queue) and hit is None:
-            x = queue[qi]
-            qi += 1
-            for eid2, y in inc.get(x, ()):
-                if eid2 in covered or eid2 == pick.id or y == u or y in prev:
-                    continue
-                prev[y] = (x, eid2)
-                if y in body:
-                    hit = y
-                    break
-                queue.append(y)
-        if hit is None:
-            raise NotTwoConnected(f"no return path from node {w} to the body")
-        seq_nodes = [hit]
-        seq_edges = []
-        cur = hit
-        while cur != w:
-            px, peid = prev[cur]
-            seq_edges.append(peid)
-            seq_nodes.append(px)
-            cur = px
-        seq_nodes.append(u)
-        seq_edges.append(pick.id)
-        seq_nodes.reverse()
-        seq_edges.reverse()
-        ears.append(Ear(tuple(seq_nodes), tuple(seq_edges), False))
-        body.update(seq_nodes)
-        covered.update(seq_edges)
-
+            ears.append(Ear((e.u, e.v), (eid,), False))
     return EarDecomposition(base_node=base, ears=tuple(ears), terminal_prefix=prefix)

@@ -8,6 +8,7 @@ from survsteiner import (
     Graph,
     NotTwoConnected,
     TerminalMissing,
+    blocks_and_cuts,
     check_ear_decomposition,
     ear_decomposition,
     is_2ec,
@@ -55,6 +56,15 @@ def random_graph(rng, n_max=12):
         u, v = pairs[0]
         specs.append((u, v, 1, True))
     return Graph.build(n, specs)
+
+
+def ring_with_chords(rng, n):
+    # a ring plus random chords, some edges doubled: a 2-node-connected multigraph
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(n))]
+    pairs += [rng.choice(pairs) for _ in range(rng.randrange(3))]
+    rng.shuffle(pairs)
+    return Graph.build(n, pairs)
 
 
 class TestEarDecomposition:
@@ -184,3 +194,47 @@ class TestTerminalEarDecomposition:
         check_ear_decomposition(
             g, dec, edges={0, 1, 2}, open_required=True, terminals={0, 1}
         )
+
+    def test_isolated_node_is_never_a_fan_source(self):
+        # C4 with chord (0, 2) plus node 4, which no edge touches
+        g = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        for terms in ([0, 2], [1]):
+            dec = terminal_ear_decomposition(g, terms)
+            check_ear_decomposition(g, dec, open_required=True, terminals=set(terms))
+            assert 4 not in {v for ear in dec.ears for v in ear.nodes}
+
+    def test_lone_terminal_opens_with_a_cycle_through_it(self):
+        g = k4()
+        dec = terminal_ear_decomposition(g, [2])
+        assert dec.terminal_prefix == 0
+        assert dec.base_node == 2
+        first = dec.ears[0]
+        assert first.closed and first.nodes[0] == first.nodes[-1] == 2
+        check_ear_decomposition(g, dec, open_required=True, terminals={2})
+
+    def test_fans_decompose_random_multigraphs(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            g = ring_with_chords(rng, rng.randrange(3, 10))
+            k = rng.randrange(1, min(5, g.n) + 1)
+            terms = rng.sample(range(g.n), k)
+            dec = terminal_ear_decomposition(g, terms)
+            assert dec.terminal_prefix <= max(k - 1, 0)
+            check_ear_decomposition(g, dec, open_required=True, terminals=set(terms))
+
+    def test_fans_decompose_block_views(self):
+        rng = random.Random(41)
+        views = 0
+        while views < 50:
+            g = random_graph(rng, n_max=10)
+            for block in blocks_and_cuts(g)[0]:
+                if len(block.nodes) < 3:
+                    continue
+                views += 1
+                k = rng.randrange(1, min(5, len(block.nodes)) + 1)
+                terms = rng.sample(sorted(block.nodes), k)
+                dec = terminal_ear_decomposition(g, terms, edges=block.edges)
+                assert dec.terminal_prefix <= max(k - 1, 0)
+                check_ear_decomposition(
+                    g, dec, edges=block.edges, open_required=True, terminals=set(terms)
+                )

@@ -406,3 +406,16 @@ class TestCli:
         code, out, err = run_cli(capsys, "cycle", write_instance(tmp_path, text), "--eta", eta)
         assert code == 64 and not out
         assert "eta must be in (0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "kind, k",
+        [("cycle", 0), ("2ncs", 0), ("2ncs", 1), ("2ecs", 0), ("2ecs", 1),
+         ("kfst", 0), ("kfst", 1)],
+    )
+    def test_too_few_terminals_is_a_usage_error(self, tmp_path, capsys, kind, k):
+        text = f"{kind} 4 4 {k}\n" + "t 0\n" * k + "".join(
+            f"e {i} {(i + 1) % 4} 1 S\n" for i in range(4)
+        )
+        code, out, err = run_cli(capsys, kind, write_instance(tmp_path, text))
+        assert code == 64 and not out
+        assert "terminals" in err
