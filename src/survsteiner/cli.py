@@ -238,7 +238,7 @@ def _run_solve(args) -> int:
     try:
         sol = _dispatch(kind, g, inst.terminals, epsilon, args, stats)
     except _INFEASIBLE as exc:
-        stats.elapsed_ms = int((time.perf_counter() - started) * 1000)
+        stats.elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
         report = build_report(
             g, kind, inst.terminals, None, stats,
             status="infeasible", message=str(exc),
@@ -248,7 +248,7 @@ def _run_solve(args) -> int:
     except BudgetExceeded as exc:
         print(f"survsteiner: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    stats.elapsed_ms = int((time.perf_counter() - started) * 1000)
+    stats.elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
 
     oracle_section = None
     if args.oracle_check:

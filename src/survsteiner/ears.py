@@ -7,21 +7,28 @@ nodes is 2-edge-connected exactly when such a decomposition covers every
 edge, and 2-node-connected (three or more nodes) exactly when every ear
 after the first is an open path.
 
-``ear_decomposition`` computes one via chain decomposition: a depth-first
-tree is walked in preorder and every back edge spawns a chain running from
-its upper endpoint down the back edge and then up tree edges to the first
-node already in a chain. ``terminal_ear_decomposition`` instead builds
-every ear of two or more edges as a two-fan: two paths from a node off the
-body to the body that share only that node, found as a unit max-flow of
-value two by ``graph._augment``, the routine that also prices k-FST
-protected paths. The fan lemma (Dirac 1960, from Menger 1927) says such a
-fan exists in a 2-node-connected graph from any node to any body of at
-least two nodes, with the paths ending at distinct body nodes, so each fan
-is an open ear. The first fan meets a one-node body (the base), so both of
-its paths end there and it closes into a cycle through the base, which
-exists because any two nodes of a 2-node-connected graph share a cycle.
-Fans start at the terminals first, so each early ear carries a terminal
-internally, then at the other nodes; the edges left over are chords.
+Both decompositions build every ear of two or more edges as a two-fan:
+two paths from a node off the body to the body that share only that node,
+found as a unit max-flow of value two by ``graph._augment``, the routine
+that also prices k-FST protected paths. The fan lemma (Dirac 1960, from
+Menger 1927) says such a fan exists in a 2-node-connected graph from any
+node to any body of at least two nodes, with the paths ending at distinct
+body nodes, so each fan is an open ear. The first fan meets a one-node
+body (the base), so both of its paths end there and it closes into a cycle
+through the base, which exists because any two nodes of a 2-node-connected
+graph share a cycle. Fans start at the terminals first, if any, so each
+early ear carries a terminal internally; then at a node joined to the body
+by an edge; the edges left over are chords.
+
+When closed ears are allowed, every body node may take both ends of a fan.
+A node v joined to the body by an edge e then always has a fan in a
+2-edge-connected view: e's block is 2-node-connected or a bundle of
+parallel edges, and inside it v has two paths to the body that share only
+v (an open fan, a cycle through v and the block's one body node, or two
+parallel edges). A bridge, or a cut node when ears must be open, leaves
+some fan missing; and a decomposition that covers a connected view proves
+it 2-edge-connected (2-node-connected when open), so the fans succeed
+exactly when the view is.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import NotTwoConnected, TerminalMissing
-from .graph import Graph, _augment, _incidence, _view, is_connected, is_2nc
+from .graph import Graph, _augment, _view, is_connected, is_2nc
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,8 @@ def ear_decomposition(
 
     Succeeds exactly on 2-edge-connected views; with ``open_required`` it
     succeeds exactly on 2-node-connected views (at least three nodes and
-    every ear after the first open).
+    every ear after the first open). The base is the smallest node, and
+    every ear is a fan or a chord (module docstring).
     """
     nodes, eids = _view(g, edges)
     if not eids or len(nodes) < 2:
@@ -75,59 +83,7 @@ def ear_decomposition(
         raise NotTwoConnected("graph is not connected")
     if open_required and len(nodes) < 3:
         raise NotTwoConnected("open decomposition needs at least 3 nodes")
-
-    inc = _incidence(g, eids)
-    root = min(nodes)
-    disc: dict[int, int] = {root: 0}
-    parent: dict[int, int] = {}
-    parent_edge: dict[int, int] = {}
-    preorder: list[int] = [root]
-    down_backs: dict[int, list[tuple[int, int]]] = {}
-    # frame: [node, parent edge id, next incident index]
-    frames: list[list[int]] = [[root, -1, 0]]
-    while frames:
-        v, pe, i = frames[-1]
-        if i >= len(inc[v]):
-            frames.pop()
-            continue
-        frames[-1][2] += 1
-        eid, w = inc[v][i]
-        if eid == pe:
-            continue
-        if w not in disc:
-            disc[w] = len(disc)
-            parent[w] = v
-            parent_edge[w] = eid
-            preorder.append(w)
-            frames.append([w, eid, 0])
-        elif disc[w] < disc[v]:
-            down_backs.setdefault(w, []).append((eid, v))
-
-    marked: set[int] = set()
-    covered: set[int] = set()
-    ears: list[Ear] = []
-    for u in preorder:
-        for eid, d in sorted(down_backs.get(u, ())):
-            marked.add(u)
-            seq_nodes = [u]
-            seq_edges = [eid]
-            cur = d
-            while cur not in marked:
-                marked.add(cur)
-                seq_nodes.append(cur)
-                seq_edges.append(parent_edge[cur])
-                cur = parent[cur]
-            seq_nodes.append(cur)
-            ears.append(
-                Ear(tuple(seq_nodes), tuple(seq_edges), seq_nodes[0] == seq_nodes[-1])
-            )
-            covered.update(seq_edges)
-
-    if covered != set(eids):
-        raise NotTwoConnected("a bridge prevents any ear decomposition")
-    if open_required and any(ear.closed for ear in ears[1:]):
-        raise NotTwoConnected("a cut-node forces a closed ear")
-    return EarDecomposition(base_node=root, ears=tuple(ears))
+    return _fan_ears(g, eids, min(nodes), (), closed=not open_required)
 
 
 def check_ear_decomposition(
@@ -208,17 +164,18 @@ def _two_fan(
     eids: list[int],
     source: int,
     body: set[int],
+    closed: bool,
 ) -> list[tuple[list[int], list[int]]]:
     """Two node-disjoint paths from ``source`` to the body over ``eids``.
 
     A unit-capacity flow network split at the nodes: node v enters at 2v
     and leaves at 2v + 1, and the sink is 2n. Internal nodes pass one
     unit from entry to exit, body nodes only absorb flow into the sink
-    (one unit each, or two for a one-node body, whose fan is a cycle), so
-    the paths share nothing except the source. Two calls of
-    ``graph._augment`` at cost zero find the flow; each path is then
-    traced from the source along the spent forward arcs. Returns two
-    (node list, edge-id list) paths source-to-body.
+    (one unit each, or two when ``closed`` or for a one-node body, so the
+    fan may be a cycle), so the paths share nothing except the source.
+    Two calls of ``graph._augment`` at cost zero find the flow; each path
+    is then traced from the source along the spent forward arcs. Returns
+    two (node list, edge-id list) paths source-to-body.
     """
     sink = 2 * g.n
     head: list[int] = []
@@ -234,7 +191,7 @@ def _two_fan(
         arc_eid.extend((eid, eid))
 
     for b in sorted(body):
-        add(2 * b, sink, 2 if len(body) == 1 else 1)
+        add(2 * b, sink, 2 if closed or len(body) == 1 else 1)
     transit: set[int] = set()
     for eid in eids:
         e = g.edges[eid]
@@ -266,20 +223,62 @@ def _two_fan(
     return paths
 
 
+def _fan_ears(
+    h: Graph, eids: list[int], base: int, sources: Iterable[int], closed: bool
+) -> EarDecomposition:
+    """The ears of the view ``eids`` grown from ``base`` (module docstring).
+
+    Ears come in this order: a fan from each of ``sources`` still off the
+    body (their count is the terminal prefix); then, while some edge has
+    exactly one end on the body, a fan from its other end, lowest edge id
+    first, so isolated nodes are never sources; then every uncovered edge
+    as a one-edge ear (a chord). A fan's paths meet the body only at their
+    ends, so they use uncovered edges only. ``closed`` lets every fan end
+    twice at one body node. Raises NotTwoConnected when a fan is missing.
+    """
+    body: set[int] = {base}
+    covered: set[int] = set()
+    ears: list[Ear] = []
+
+    def add_fan_ear(source: int) -> None:
+        avail = [eid for eid in eids if eid not in covered]
+        p1, p2 = _two_fan(h, avail, source, body, closed)
+        seq_nodes = list(reversed(p1[0])) + p2[0][1:]
+        seq_edges = list(reversed(p1[1])) + p2[1]
+        ears.append(
+            Ear(tuple(seq_nodes), tuple(seq_edges), seq_nodes[0] == seq_nodes[-1])
+        )
+        body.update(seq_nodes)
+        covered.update(seq_edges)
+
+    for s in sources:
+        if s not in body:
+            add_fan_ear(s)
+    prefix = len(ears)
+    while True:
+        # an edge with one end on the body is uncovered: ears stay inside it
+        for eid in eids:
+            e = h.edges[eid]
+            if (e.u in body) != (e.v in body):
+                add_fan_ear(e.v if e.u in body else e.u)
+                break
+        else:
+            break
+    for eid in eids:
+        if eid not in covered:
+            e = h.edges[eid]
+            ears.append(Ear((e.u, e.v), (eid,), False))
+    return EarDecomposition(base_node=base, ears=tuple(ears), terminal_prefix=prefix)
+
+
 def terminal_ear_decomposition(
     h: Graph, terminals: Iterable[int], edges: Iterable[int] | None = None
 ) -> EarDecomposition:
     """Open ear decomposition whose early ears each carry a terminal internally.
 
-    The base is the smallest terminal. By the fan lemma (module docstring)
-    a node off a body of at least two nodes has an open two-fan to it, and
-    the first fan, whose body is the base alone, is a cycle through the
-    base. A fan's paths meet the body only at their ends, so they use
-    uncovered edges only. Ears come in this order: a fan from each terminal
-    still off the body, smallest first (at most |terminals| - 1 of them,
-    the terminal prefix); then a fan from each edge endpoint still off the
-    body, in edge-id order, so isolated nodes of the view are never
-    sources; then every uncovered edge as a one-edge ear (a chord).
+    The base is the smallest terminal, and the fans start at the
+    terminals still off the body, smallest first: at most
+    |terminals| - 1 of them, the terminal prefix (module docstring).
     """
     nodes, eids = _view(h, edges)
     node_set = set(nodes)
@@ -291,33 +290,4 @@ def terminal_ear_decomposition(
             raise TerminalMissing(f"terminal {t} is not in the graph")
     if not is_2nc(h, eids):
         raise NotTwoConnected("terminal decomposition needs a 2-node-connected graph")
-
-    base = terms[0]
-    body: set[int] = {base}
-    covered: set[int] = set()
-    ears: list[Ear] = []
-
-    def add_fan_ear(source: int) -> None:
-        avail = [eid for eid in eids if eid not in covered]
-        p1, p2 = _two_fan(h, avail, source, body)
-        seq_nodes = list(reversed(p1[0])) + p2[0][1:]
-        seq_edges = list(reversed(p1[1])) + p2[1]
-        ears.append(
-            Ear(tuple(seq_nodes), tuple(seq_edges), seq_nodes[0] == seq_nodes[-1])
-        )
-        body.update(seq_nodes)
-        covered.update(seq_edges)
-
-    for t in terms:
-        if t not in body:
-            add_fan_ear(t)
-    prefix = len(ears)
-    for eid in eids:
-        for v in h.edges[eid].ends:
-            if v not in body:
-                add_fan_ear(v)
-    for eid in eids:
-        if eid not in covered:
-            e = h.edges[eid]
-            ears.append(Ear((e.u, e.v), (eid,), False))
-    return EarDecomposition(base_node=base, ears=tuple(ears), terminal_prefix=prefix)
+    return _fan_ears(h, eids, terms[0], terms, closed=False)

@@ -50,7 +50,7 @@ from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import _Incumbent, _solve_core, _Subcalls
 
 # The family bound is compared with a floor refreshed from the incumbent
-# every _BATCH families. The bound is not admissible (ROADMAP item C): a
+# every _BATCH families. The bound is not admissible (ROADMAP item K): a
 # floor refreshed per family would skip families that can win a tie, so
 # the batch size is part of the answer.
 _BATCH = 32
@@ -405,7 +405,7 @@ def _kfst_core(
             # A part of at most three nodes is priced by its minimum Steiner
             # cycle, and a part with no such cycle is skipped. That is not
             # always the minimum 2-node-connected container: the three
-            # degree-2 nodes of K_{2,3} share no cycle (ROADMAP item C).
+            # degree-2 nodes of K_{2,3} share no cycle (ROADMAP K, small-part gap).
             return small_parts.cycle(part)
         hit = twonc_memo.get(part, _MISS)
         if hit is not _MISS:

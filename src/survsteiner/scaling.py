@@ -8,9 +8,11 @@ contains a feasible solution, call its top cost beta, drop edges costing
 more than n*beta, round every surviving cost up to a multiple of
 mu = eps*beta/n (zero-cost edges round to mu), and replace each edge by a
 path of cost/mu unit edges. A minimum-size solution on the subdivided
-graph maps back to a (1+eps)-approximate solution of the weighted
-problem, because any solution loses at most n*mu = eps*beta <= eps*OPT to
-rounding.
+graph maps back to a (1+eps)-approximate solution for cycles: a simple
+cycle has at most n edges, each rounded up by less than mu, so it loses
+at most n*mu = eps*beta <= eps*OPT, and OPT <= n*beta keeps the filter
+exact. A minimal 2NCS, 2ECS or k-FST solution can have about 2n edges
+(K_{2,r} has 2n - 4), so for those kinds the ratio and filter are open.
 
 The shortest feasible prefix is found by binary search over prefix
 lengths: a feasible subgraph of one prefix lies inside every longer
@@ -68,19 +70,13 @@ def _twonc_exists(g: Graph, terminals: set[int], eids: list[int]) -> bool:
 
 
 def _fst_exists(g: Graph, terminals: set[int], eids: list[int], all_unsafe: bool) -> bool:
-    # peel unsafe bridges to a fixpoint; any surviving component is
-    # protectable, so feasibility is just terminal co-membership there
-    current = list(eids)
-    while True:
-        _, _, bridges = blocks_and_cuts(g, current)
-        doomed = [
-            eid for eid in bridges if all_unsafe or not g.edge(eid).safe
-        ]
-        if not doomed:
-            break
-        gone = set(doomed)
-        current = [eid for eid in current if eid not in gone]
-    comps = connected_components(g, current)
+    # drop the unsafe bridges in one pass: a bridge lies on no cycle, so
+    # deleting it leaves every other edge a bridge or not as before. Any
+    # surviving component is protectable, so feasibility is just terminal
+    # co-membership there
+    _, _, bridges = blocks_and_cuts(g, eids)
+    gone = {eid for eid in bridges if all_unsafe or not g.edge(eid).safe}
+    comps = connected_components(g, [eid for eid in eids if eid not in gone])
     return any(terminals <= comp for comp in comps)
 
 

@@ -60,7 +60,7 @@ class SolveStats:
     epsilon: Fraction | None = None
     seed: int | None = None
     threads: int = 1
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0
     threshold_index: int | None = None
     beta: Fraction | None = None
     mu: Fraction | None = None

@@ -67,6 +67,29 @@ def ring_with_chords(rng, n):
     return Graph.build(n, pairs)
 
 
+def block_chain(rng, bridge=False):
+    """2-5 blocks glued in a chain at cut nodes, each a ring with chords or
+    a bundle of parallel edges; with ``bridge`` one more block is a single
+    edge. Node labels and edge ids are shuffled."""
+    pairs = []
+    glue, n = 0, 1
+    kinds = ["block"] * rng.randrange(2, 6) + (["bridge"] if bridge else [])
+    rng.shuffle(kinds)
+    for kind in kinds:
+        if kind == "bridge" or rng.random() < 0.3:
+            copies = 1 if kind == "bridge" else rng.randrange(2, 4)
+            pairs += [(glue, n)] * copies
+            glue, n = n, n + 1
+            continue
+        ring = [glue, *range(n, n + rng.randrange(2, 5))]
+        pairs += [(ring[i - 1], ring[i]) for i in range(len(ring))]
+        pairs += [tuple(rng.sample(ring, 2)) for _ in range(rng.randrange(3))]
+        glue, n = rng.choice(ring[1:]), ring[-1] + 1
+    label = rng.sample(range(n), n)
+    rng.shuffle(pairs)
+    return Graph.build(n, [(label[u], label[v]) for u, v in pairs])
+
+
 class TestEarDecomposition:
     def test_cycle_is_one_closed_ear(self):
         dec = ear_decomposition(cycle_graph(5))
@@ -135,6 +158,34 @@ class TestEarDecomposition:
         except NotTwoConnected:
             has_open = False
         assert has_open == is_2nc(g)
+
+
+class TestBlockChains:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_chain_decomposes_with_closed_ears_only(self, seed):
+        g = block_chain(random.Random(seed))
+        blocks = blocks_and_cuts(g)[0]
+        assert 2 <= len(blocks) <= 5 and is_2ec(g)
+        check_ear_decomposition(g, ear_decomposition(g))
+        with pytest.raises(NotTwoConnected):
+            ear_decomposition(g, open_required=True)
+        for block in blocks:
+            dec = ear_decomposition(g, edges=block.edges)
+            check_ear_decomposition(g, dec, edges=block.edges)
+            if is_2nc(g, block.edges):
+                dec = ear_decomposition(g, open_required=True, edges=block.edges)
+                check_ear_decomposition(g, dec, edges=block.edges, open_required=True)
+            else:
+                with pytest.raises(NotTwoConnected):
+                    ear_decomposition(g, open_required=True, edges=block.edges)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_bridge_in_the_chain_refuses_decomposition(self, seed):
+        g = block_chain(random.Random(seed), bridge=True)
+        assert not is_2ec(g)
+        for open_required in (False, True):
+            with pytest.raises(NotTwoConnected):
+                ear_decomposition(g, open_required=open_required)
 
 
 class TestTerminalEarDecomposition:

@@ -1,7 +1,9 @@
-"""Every module of the package uses every name it imports, and every
-top-level definition is read somewhere or exported."""
+"""Every module of the package uses every name it imports, every
+top-level definition is read somewhere or exported, and README's module
+map names every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,10 @@ def test_the_check_sees_a_dead_definition():
 def test_every_definition_is_read_or_exported():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_definitions(sources) == []
+
+
+def test_readme_module_map_names_every_module():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    table = readme.split("Module map", 1)[1].split("\n\n", 2)[1]
+    named = sorted(f"{name}.py" for name in re.findall(r"^\| `(\w+)`", table, re.M))
+    assert named == MODULES

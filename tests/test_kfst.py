@@ -382,7 +382,7 @@ class TestTieBreak:
         reason="mst_join ranks trees by the sum of their table costs, not by "
         "the weight of their edge union, so no family order reaches the "
         "lexicographically smallest optimum; the solver returns "
-        "[0, 3, 6, 7, 8, 10, 11] (ROADMAP item C)",
+        "[0, 3, 6, 7, 8, 10, 11] (ROADMAP item K)",
     )
     def test_union_weight_ties_break_to_the_smallest_edge_set(self):
         inst = read_instance(UNION_TIE_TEXT)[1]
@@ -392,7 +392,7 @@ class TestTieBreak:
         strict=True,
         reason="the family bound is not admissible and families are pruned per "
         "batch, so the scan skips the family that yields the lexicographically "
-        "smallest optimum and returns [2, 8, 9, 10, 12, 13] (ROADMAP item C)",
+        "smallest optimum and returns [2, 8, 9, 10, 12, 13] (ROADMAP item K)",
     )
     def test_ties_break_to_the_smallest_edge_set(self):
         inst = read_instance(TIE_BREAK_TEXT)[1]
@@ -485,7 +485,7 @@ class TestFourTerminals:
 
 
 # The reference's batch size, fixed here: the solver's ``_BATCH`` is part
-# of its answer until the family bound is admissible (ROADMAP item C)
+# of its answer until the family bound is admissible (ROADMAP item K)
 REFERENCE_BATCH = 32
 
 

@@ -236,6 +236,16 @@ class TestCli:
         g = Graph.build(4, [(i, (i + 1) % 4, 1, True) for i in range(4)])
         validate_report(g, report)
 
+    def test_sub_millisecond_solve_reports_its_time(self, tmp_path, capsys):
+        # a K4 cycle solve takes well under a millisecond; whole
+        # milliseconds would read 0
+        pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        text = "cycle 4 6 2\nt 0\nt 2\n" + "".join(f"e {u} {v} 1 S\n" for u, v in pairs)
+        code, out, _ = run_cli(capsys, "cycle", write_instance(tmp_path, text))
+        assert code == 0
+        elapsed = json.loads(out)["stats"]["elapsed_ms"]
+        assert isinstance(elapsed, float) and elapsed > 0
+
     def test_infeasible_exits_two(self, tmp_path, capsys):
         text = "cycle 3 2 2\nt 0\nt 2\ne 0 1 1 S\ne 1 2 1 S\n"
         code, out, _ = run_cli(capsys, "cycle", write_instance(tmp_path, text))

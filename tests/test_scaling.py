@@ -210,3 +210,31 @@ class TestBinaryThresholdScan:
             for eid in g.edge_ids()
             if g.edge(eid).cost <= n * beta
         }
+
+
+class TestPrefixFeasible:
+    @pytest.mark.parametrize(
+        "kind", [ProblemKind.KFST, ProblemKind.TWO_ECS], ids=lambda k: k.value
+    )
+    def test_matches_the_oracle_on_edge_subsets(self, kind):
+        # mixed-safety multigraphs with bridges, chains of bridges and
+        # parallel edges: the subset holds a solution exactly when the
+        # exhaustive oracle finds one on the subgraph of those edges
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randrange(3, 9)
+            m = rng.randrange(n - 1, n + 4)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(m)]
+            pairs += [rng.choice(pairs) for _ in range(rng.randrange(3))]
+            g = Graph.build(n, [(u, v, 1, rng.random() < 0.5) for u, v in pairs])
+            eids = [eid for eid in g.edge_ids() if rng.random() < 0.85]
+            terms = rng.sample(range(n), rng.randrange(2, min(4, n) + 1))
+            sub = Graph.build(n, [
+                (g.edge(eid).u, g.edge(eid).v, 1, g.edge(eid).safe) for eid in eids
+            ])
+            try:
+                oracle_min_subgraph(sub, terms, kind)
+                found = True
+            except Infeasible:
+                found = False
+            assert prefix_feasible(g, terms, kind, eids) == found, (pairs, eids, terms)
