@@ -9,12 +9,14 @@ edge, which normalises minimal solutions: terminals become leaves of the
 condensed block tree, at most k-2 of its nodes are internal, and their
 cut nodes number at most 3k-6 with repetition. The search enumerates
 families of up to k-2 candidate cut-node sets (total size at most 3k-6),
-solves a minimum 2-node-connected subgraph per multi-node set (a
-singleton stands for a lone branching cut node and contributes no
-edges), and joins everything with terminals through a minimum spanning
-tree over 1-protected paths: connections that themselves survive any
-single unsafe failure, i.e. chains of safe edges and two-edge-disjoint
-path pairs. The cheapest assembly over all families wins.
+prices a minimum 2-node-connected container per multi-node set
+(``twonc._Subcalls.container``; a singleton stands for a lone branching
+cut node and contributes no edges), and joins everything with terminals
+through a minimum spanning tree over 1-protected paths: connections that
+themselves survive any single unsafe failure, i.e. chains of safe edges
+and two-edge-disjoint path pairs. The cheapest assembly over all
+families wins. Two terminals take the same scan: their one family is the
+empty one, and its join is the protected path between the pendants.
 
 Union lemma: every assembled union passes ``_survives``. No ``pay`` set
 of the table has an unsafe bridge: each is a safe edge, two edge-disjoint
@@ -47,14 +49,13 @@ from .errors import (
 from .graph import Graph, _augment, blocks_and_cuts, is_connected, subgraph_nodes
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
-from .twonc import _Incumbent, _solve_core, _Subcalls
+from .twonc import _Incumbent, _Subcalls
 
 # The family bound is compared with a floor refreshed from the incumbent
 # every _BATCH families. The bound is not admissible (ROADMAP item K): a
 # floor refreshed per family would skip families that can win a tie, so
 # the batch size is part of the answer.
 _BATCH = 32
-_MISS = object()
 
 
 @dataclass
@@ -325,7 +326,10 @@ def _survives(g: Graph, edges: frozenset[int], terms: set[int]) -> bool:
 def _part_families(universe: list[int], k: int):
     """All families of distinct non-empty node sets: at most k-2 of
     them, total size at most 3k-6. Duplicated sets and padded tuple
-    slots never change the assembled candidate, so they are skipped."""
+    slots never change the assembled candidate, so they are skipped.
+    The empty family comes only at k = 2, as the one family: a block tree
+    with two terminal leaves is a path, while one with three or more
+    leaves branches at a part."""
     budget = 3 * k - 6
     max_parts = k - 2
     pool: list[frozenset[int]] = []
@@ -334,7 +338,7 @@ def _part_families(universe: list[int], k: int):
             pool.append(frozenset(combo))
 
     def rec(start: int, chosen: list[frozenset[int]], left: int):
-        if chosen:
+        if chosen or not max_parts:
             yield tuple(chosen)
         if len(chosen) == max_parts:
             return
@@ -364,65 +368,23 @@ def _kfst_core(
     k = len(terms)
     if k < 2:
         raise ValueError("the solver needs at least two terminals")
-    g0 = inst.graph
-    w0 = [1] * g0.m
-    if weights:
-        for eid, val in weights.items():
-            w0[eid] = val
-
-    if k == 2:
-        # two terminals make the whole problem one 1-protected path
-        table = build_protected_table(g0, w0)
-        found = table.path(terms[0], terms[1])
-        if found is None:
-            raise Infeasible("no 1-protected path joins the two terminals")
-        stats.iterations += 1
-        return found
-
     mod = apply_pendant_gadget(inst)
     g2 = mod.graph
     t2 = sorted(mod.terminals)
     if not prefix_feasible(g2, t2, ProblemKind.KFST, list(g2.edge_ids())):
         raise Infeasible("no subgraph connects the terminals through every failure")
-    w2 = w0 + [1] * k  # pendant edges weigh one unit each
+    calls = _Subcalls(inst.graph, weights, stats)
+    w2 = calls.w + [1] * k  # pendant edges weigh one unit each
 
     table = build_protected_table(g2, w2)
     stats.count(
         "protected_pairs",
         sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :]),
     )
-    universe = list(range(g0.n))
-
     full = frozenset(g2.edge_ids())
     incumbent = _Incumbent(sum(w2), full)
 
-    twonc_memo: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
-    small_parts = _Subcalls(g0, weights, stats)
-
-    def twonc_edges(part: frozenset[int]) -> tuple | None:
-        """``(weight, edges, ...)`` of the part's container, or None."""
-        if len(part) <= 3:
-            # A part of at most three nodes is priced by its minimum Steiner
-            # cycle, and a part with no such cycle is skipped. That is not
-            # always the minimum 2-node-connected container: the three
-            # degree-2 nodes of K_{2,3} share no cycle (ROADMAP K, small-part gap).
-            return small_parts.cycle(part)
-        hit = twonc_memo.get(part, _MISS)
-        if hit is not _MISS:
-            return hit
-        scratch = SolveStats()
-        try:
-            got = _solve_core(g0, part, weights=weights, stats=scratch)
-        except Infeasible:
-            got = None
-        stats.count("twonc_calls")
-        stats.count("twonc_iterations", scratch.iterations)
-        for name, count in scratch.subcalls.items():
-            stats.count(f"twonc_{name}", count)
-        twonc_memo[part] = got
-        return got
-
-    families = list(_part_families(universe, k))
+    families = list(_part_families(list(range(inst.graph.n)), k))
     stats.iterations += len(families)
 
     # the MST weight in the table metric plus max(3, |p|) per multi-node part
@@ -442,7 +404,7 @@ def _kfst_core(
         for part in parts:
             if len(part) == 1:
                 continue
-            got = twonc_edges(part)
+            got = calls.container(part)
             if got is None:
                 return None
             union |= got[1]

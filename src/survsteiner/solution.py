@@ -48,9 +48,9 @@ class SolveStats:
     ``iterations`` counts every configuration of the outer enumeration,
     walked or counted in bulk (including ones skipped after a failed
     subcall or by a bound), so tests can compare it against closed-form
-    counts. ``updates`` records
-    ``(iteration, incumbent weight)`` pairs; the weight sequence is
-    non-increasing by construction.
+    counts. ``updates`` records ``(index, incumbent weight)`` pairs, where
+    the index is the marker subset's for 2NCS and the family's for k-FST
+    and 2ECS; the weight sequence is non-increasing by construction.
     """
 
     iterations: int = 0

@@ -58,11 +58,15 @@ adds its total once, and the counter always equals the closed-form sum
 over all subsets. ``ground_skips``, ``later_part_skips`` and ``ear_prunes``
 count the three bounds' skips.
 
-Subcall results are memoized by their arguments; with integer edge
-weights the same machinery solves the rounded-and-subdivided weighted
-instance of ``scaling.solve_scaled`` without ever materialising
-subdivision chains. The scan runs on the calling thread in a fixed
-order, so every count repeats exactly.
+``_Subcalls`` memoizes the scan's subcalls by their arguments: Steiner
+cycles, Steiner paths, and the 2-node-connected part containers that
+k-FST prices. A container of four or more nodes is this scan, run on the
+same memo, so the inner scans of a k-FST request reuse every cycle and
+path found before them. With integer edge weights the same machinery
+solves the rounded-and-subdivided weighted instance of
+``scaling.solve_scaled`` without ever materialising subdivision chains.
+The scan runs on the calling thread in a fixed order, so every count
+repeats exactly.
 """
 
 from __future__ import annotations
@@ -82,9 +86,10 @@ _Result = tuple[int, frozenset[int], int]  # weight, edge ids, node bitmask
 
 
 class _Subcalls:
-    """Memoized cycle/path subcalls over one graph and weight vector; all
-    of them share one ``SearchPrep`` of the search kernel's tables. A
-    result is ``(weight, edges, node mask)``, or None when there is none."""
+    """Memoized subcalls over one graph and weight vector: cycles, paths
+    and part containers; all of them share one ``SearchPrep`` of the
+    search kernel's tables. A cycle or path result is ``(weight, edges,
+    node mask)``, or None when there is none."""
 
     def __init__(
         self,
@@ -98,6 +103,7 @@ class _Subcalls:
         self.stats = stats
         self.cycles: dict[frozenset[int], _Result | None] = {}
         self.paths: dict[tuple[frozenset[int], int, int], _Result | None] = {}
+        self.containers: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
 
     def _weigh(self, edges: frozenset[int]) -> int:
         return sum(self.w[eid] for eid in edges)
@@ -137,6 +143,33 @@ class _Subcalls:
         self.paths[key] = result
         return result
 
+    def container(self, part: frozenset[int]) -> tuple | None:
+        """``(weight, edges, ...)`` of the 2-node-connected container that
+        k-FST prices ``part`` with, or None: its minimum Steiner cycle up to
+        three nodes, else the 2NCS scan on this memo, memoized per part.
+        That scan's own counters, iterations included, are kept as
+        ``twonc_<name>``; its cycle and path calls count as this memo's."""
+        if len(part) <= 3:
+            # A part of at most three nodes is priced by its minimum Steiner
+            # cycle, and a part with no such cycle is skipped. That is not
+            # always the minimum 2-node-connected container: the three
+            # degree-2 nodes of K_{2,3} share no cycle (ROADMAP K, small-part gap).
+            return self.cycle(part)
+        hit = self.containers.get(part, _MISS)
+        if hit is not _MISS:
+            return hit
+        scratch = SolveStats()
+        try:
+            got = _solve_core(self, part, scratch)
+        except Infeasible:
+            got = None
+        self.stats.count("twonc_calls")
+        self.stats.count("twonc_iterations", scratch.iterations)
+        for name, count in scratch.subcalls.items():
+            self.stats.count(f"twonc_{name}", count)
+        self.containers[part] = got
+        return got
+
 
 class _Incumbent:
     """Minimum register: min by (weight, lexicographic edge tuple)."""
@@ -155,12 +188,11 @@ class _Incumbent:
 
 
 def _solve_core(
-    g: Graph,
-    terminals,
-    *,
-    weights: dict[int, int] | None = None,
-    stats: SolveStats | None = None,
+    calls: _Subcalls, terminals, stats: SolveStats
 ) -> tuple[int, frozenset[int]]:
+    """The scan over the graph of ``calls``; its cycle and path calls count
+    in ``calls.stats``, everything else in ``stats``."""
+    g = calls.g
     terms = sorted(set(terminals))
     k = len(terms)
     if k < 2:
@@ -168,8 +200,6 @@ def _solve_core(
     if not prefix_feasible(g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())):
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
-    stats = stats if stats is not None else SolveStats()
-    calls = _Subcalls(g, weights, stats)
     full = frozenset(g.edge_ids())
     incumbent = _Incumbent(calls._weigh(full), full)
     term_set = set(terms)
@@ -262,7 +292,7 @@ def solve_2ncs_unweighted(
     of at least three nodes.
     """
     stats = run_stats(stats, seed, eta, threads)
-    _, edges = _solve_core(g, terminals, stats=stats)
+    _, edges = _solve_core(_Subcalls(g, None, stats), terminals, stats)
     return Solution(edges=edges, cost=g.total_cost(edges))
 
 
@@ -285,6 +315,6 @@ def solve_2ncs_weighted(
     return solve_scaled(
         g, terminals, epsilon, ProblemKind.TWO_NCS, stats,
         lambda folded, weights: _solve_core(
-            folded, terminals, weights=weights, stats=stats
+            _Subcalls(folded, weights, stats), terminals, stats
         )[1],
     )

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -313,6 +314,54 @@ class TestDistanceBound:
                 )
                 if opt is not None:
                     assert root_bound(s, t, (via,)) <= opt, (s, t, via)
+
+
+def dead_branch(q):
+    """A triangle on terminals 0, 1, 2 (the last three edges) and a K_q on
+    nodes 3.. hung off node 0 by edge 0, which the walk from 0 tries first.
+    No terminal lies behind the cut node 0, so that branch is dead."""
+    clique = range(3, 3 + q)
+    specs = [(0, 3)] + [(u, v) for u in clique for v in clique if u < v]
+    return Graph.build(3 + q, specs + [(0, 1), (1, 2), (2, 0)])
+
+
+def dfs_calls(run):
+    """Calls of the kernel's ``dfs`` while ``run()`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "dfs" and code.co_filename == cycles.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestReachabilityPrune:
+    """The kernel drops a step whose missing terminals or closing edge can
+    no longer be reached. Without that test the walk enters the K_8 behind
+    the cut node and makes 13,705 ``dfs`` calls (K_11: seconds); with it,
+    5. Checked against deleting the ``reachable`` test in ``_search``."""
+
+    def test_minimum_search_skips_the_dead_branch(self):
+        g = dead_branch(8)
+        calls = dfs_calls(lambda: search_min_cycle(g, [0, 1, 2]))
+        assert search_min_cycle(g, [0, 1, 2]) == (3, (g.m - 3, g.m - 2, g.m - 1))
+        assert calls <= 10
+
+    def test_existence_search_skips_the_dead_branch(self):
+        # without the triangle's last edge no cycle holds 0, 1 and 2
+        g = dead_branch(8)
+        edges = list(range(g.m - 1))
+        calls = dfs_calls(lambda: steiner_cycle_exists(g, [0, 1, 2], edges))
+        assert not steiner_cycle_exists(g, [0, 1, 2], edges)
+        assert calls <= 10
 
 
 class TestExistenceMode:

@@ -91,10 +91,10 @@ def offered(seed):
     scope, failed, checked, seen = [], [], {}, set()
     core, gadget, offer = twonc._solve_core, kfst.apply_pendant_gadget, twonc._Incumbent.offer
 
-    def scoped_core(graph, terminals, **kwargs):
-        scope.append((graph, sorted(set(terminals)), ProblemKind.TWO_NCS))
+    def scoped_core(calls, terminals, stats):
+        scope.append((calls.g, sorted(set(terminals)), ProblemKind.TWO_NCS))
         try:
-            return core(graph, terminals, **kwargs)
+            return core(calls, terminals, stats)
         finally:
             scope.pop()
 
@@ -115,7 +115,6 @@ def offered(seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(twonc, "_solve_core", scoped_core)
-        patch.setattr(kfst, "_solve_core", scoped_core)
         patch.setattr(kfst, "apply_pendant_gadget", scoped_gadget)
         patch.setattr(twonc._Incumbent, "offer", checked_offer)
         try:

@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, every
 top-level definition is read somewhere or exported, and README's module
-map names every module."""
+map names every module and states the package's line count."""
 
 import ast
 import re
@@ -93,3 +93,12 @@ def test_readme_module_map_names_every_module():
     table = readme.split("Module map", 1)[1].split("\n\n", 2)[1]
     named = sorted(f"{name}.py" for name in re.findall(r"^\| `(\w+)`", table, re.M))
     assert named == MODULES
+
+
+def test_readme_states_the_package_line_count():
+    # ROADMAP tracks this count as the design metric; README states it
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    stated = re.search(r"`src/survsteiner` is ([\d,]+) lines", readme)
+    assert stated is not None
+    lines = sum(p.read_text().count("\n") for p in PACKAGE.glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == lines

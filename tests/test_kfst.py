@@ -364,6 +364,29 @@ e 0 1 1 U
 UNION_TIE_EDGES = frozenset({0, 3, 4, 5, 8, 10, 11})
 
 
+# Two k = 2 ties (terminals 0 and 1): the graph, the oracle's optimum and
+# the solver's answer of equal cost. A sweep of 4,000 random unit
+# multigraphs (n 2-7, m 1-10, k-FST and 2ECS) found 131 such answers among
+# 4,557 feasible ones
+TWO_TERMINAL_TIES = {
+    ProblemKind.KFST: (
+        Graph.build(3, [(1, 2, 1, True), (0, 2, 1, True), (2, 0, 1, False),
+                        (1, 2, 1, True), (1, 0, 1, False), (1, 0, 1, False)]),
+        frozenset({0, 1}), [4, 5],
+    ),
+    ProblemKind.TWO_ECS: (
+        Graph.build(4, [(0, 3), (2, 1), (1, 3), (1, 0), (2, 0)]),
+        frozenset({0, 2, 3}), [1, 3, 4],
+    ),
+}
+
+
+def solve_two_terminals(kind, g):
+    if kind is ProblemKind.TWO_ECS:
+        return solve_2ecs(g, [0, 1])
+    return solve_kfst_unweighted(FstInstance(g, frozenset({0, 1})))
+
+
 class TestTieBreak:
     def test_the_oracle_optimum_and_the_solver_cost(self):
         inst = read_instance(TIE_BREAK_TEXT)[1]
@@ -397,6 +420,26 @@ class TestTieBreak:
     def test_ties_break_to_the_smallest_edge_set(self):
         inst = read_instance(TIE_BREAK_TEXT)[1]
         assert solve_kfst_unweighted(inst).edges == TIE_BREAK_EDGES
+
+    @pytest.mark.parametrize("kind", [ProblemKind.KFST, ProblemKind.TWO_ECS])
+    def test_two_terminal_oracle_optimum_and_solver_cost(self, kind):
+        g, want, _ = TWO_TERMINAL_TIES[kind]
+        ref = oracle_min_subgraph(g, [0, 1], kind)
+        assert ref.edges == want
+        assert solve_two_terminals(kind, g).cost == ref.cost
+
+    @pytest.mark.parametrize("kind", [
+        pytest.param(kind, marks=pytest.mark.xfail(
+            strict=True,
+            reason="at k = 2 the answer is the one pay set the protected "
+            "table's Floyd-Warshall pass keeps, whichever optimum it reaches "
+            f"first; the solver returns {TWO_TERMINAL_TIES[kind][2]} (ROADMAP item K)",
+        ))
+        for kind in (ProblemKind.KFST, ProblemKind.TWO_ECS)
+    ])
+    def test_two_terminal_ties_break_to_the_smallest_edge_set(self, kind):
+        g, want, _ = TWO_TERMINAL_TIES[kind]
+        assert solve_two_terminals(kind, g).edges == want
 
 
 def k23_variant(rng):
@@ -479,8 +522,8 @@ class TestFourTerminals:
         stats = SolveStats()
         solve_kfst_unweighted(FstInstance(g, frozenset({1, 2, 4, 5})), stats=stats)
         assert stats.subcalls["twonc_calls"] == 9
-        assert stats.subcalls["twonc_path_calls"] > 0
-        for name in ("cycle_calls", "ground_skips", "later_part_skips", "ear_prunes"):
+        assert stats.subcalls["path_calls"] > 0
+        for name in ("ground_skips", "later_part_skips", "ear_prunes"):
             assert f"twonc_{name}" in stats.subcalls, name
 
 
@@ -509,7 +552,8 @@ def reference_kfst_scan(inst, weights, stats):
         if len(part) <= 3:
             return small_parts.cycle(part)
         try:
-            return twonc._solve_core(g0, part, weights=weights)
+            calls = twonc._Subcalls(g0, weights, SolveStats())
+            return twonc._solve_core(calls, part, SolveStats())
         except Infeasible:
             return None
 
@@ -596,6 +640,73 @@ class TestReferenceScan:
         assert kfst._kfst_core(inst, weights=weights, stats=stats) == want
         assert stats.iterations == ref_stats.iterations
         assert stats.updates == ref_stats.updates
+
+
+def two_terminal_case(seed):
+    """A seeded multigraph on 2-7 nodes with 1-10 edges of mixed safety
+    (parallel edges common, many instances infeasible), two terminals, and
+    integer weights 1-4."""
+    rng = random.Random(f"k2-{seed}")
+    n = rng.randrange(2, 8)
+    specs = [
+        (*rng.sample(range(n), 2), 1, rng.random() >= 0.5)
+        for _ in range(rng.randrange(1, 11))
+    ]
+    g = Graph.build(n, specs)
+    return g, frozenset(rng.sample(range(n), 2)), {e: rng.randint(1, 4) for e in g.edge_ids()}
+
+
+def two_terminal_answers(seed):
+    """Per solve of a two-terminal case, the protected path of the original
+    graph's table (None if there is none) and the solver's edges (None on
+    Infeasible): unit and weighted ``_kfst_core``, and unit ``solve_2ecs``."""
+    g, terms, weights = two_terminal_case(seed)
+    unsafe = Graph.build(g.n, [(e.u, e.v, e.cost, False) for e in g.edges])
+    cases = (
+        (g, None, lambda: kfst._kfst_core(FstInstance(g, terms))),
+        (g, weights, lambda: kfst._kfst_core(FstInstance(g, terms), weights=weights)),
+        (unsafe, None, lambda: solve_2ecs(g, terms).edges),
+    )
+    out = []
+    for graph, w, solve in cases:
+        table = build_protected_table(graph, [(w or {}).get(e, 1) for e in graph.edge_ids()])
+        try:
+            got = solve()
+        except Infeasible:
+            got = None
+        out.append((table.path(*sorted(terms)), got))
+    return out
+
+
+class TestTwoTerminals:
+    """k = 2 runs the family scan with its one, empty family: the join of
+    the two pendant terminals is the original graph's protected path.
+    Checked against ``_part_families`` yielding no family at k = 2."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_answer_is_the_protected_path(self, seed):
+        for want, got in two_terminal_answers(seed):
+            assert got == want
+
+    def test_the_cases_cover_both_outcomes(self):
+        outcomes = {
+            (solve, want is None)
+            for seed in range(200)
+            for solve, (want, _) in enumerate(two_terminal_answers(seed))
+        }
+        assert outcomes == {(solve, none) for solve in range(3) for none in (False, True)}
+
+    def test_one_family_and_its_stats(self):
+        # an unsafe triangle edge is no protection alone: the answer is the
+        # triangle, and the pendant edge 2-3 stays out
+        g = Graph.build(4, [(0, 1, 1, False), (1, 2, 1, True), (2, 0, 1, False),
+                            (2, 3, 1, True)])
+        stats = SolveStats()
+        sol = solve_kfst_unweighted(FstInstance(g, frozenset({0, 1})), stats=stats)
+        assert sol.edges == {0, 1, 2}
+        assert stats.iterations == 1
+        assert stats.updates == [(0, 5)]  # with the gadget's two pendant edges
+        assert stats.subcalls["protected_pairs"] > 0
 
 
 class TestTwoEdgeConnected:

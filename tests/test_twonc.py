@@ -276,7 +276,7 @@ def compare_scans(g, terms, weights, subset_bound):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(twonc, "ordered_partitions", scanned)
-        got = twonc._solve_core(g, terms, weights=weights, stats=stats)
+        got = twonc._solve_core(twonc._Subcalls(g, weights, stats), terms, stats)
     return ref, ref_stats, got, stats, grounds
 
 
@@ -375,7 +375,8 @@ class TestScanSkips:
         g = Graph.build(5, [(0, 1, 1, True), (1, 2, 1, True), (2, 3, 1, True),
                             (3, 0, 1, True), (0, 4, 1, True), (4, 1, 1, True)])
         stats = SolveStats()
-        assert twonc._solve_core(g, [0, 1, 2], stats=stats) == (4, frozenset(range(4)))
+        calls = twonc._Subcalls(g, None, stats)
+        assert twonc._solve_core(calls, [0, 1, 2], stats) == (4, frozenset(range(4)))
         assert stats.updates == [(0, 4)]  # the 4-cycle, at S = {}
         assert stats.subcalls == {
             # S = {}: the one-part cycle and the 2-node first parts; the
