@@ -29,8 +29,17 @@ tests are ``prefix_feasible`` before it and the sentinel check after it.
 
 One Floyd-Warshall table of those paths serves a whole request: the
 join reads each set-to-set link from it as a minimum over node pairs.
-Families are evaluated in order of a cheap bound, on the calling thread;
-the bound is compared with a floor refreshed once per fixed-size batch.
+Table and unions are weighed with the pendant graph's ``twonc._perturbed``
+weights, so the minimum union is unique, the lexicographically smallest
+optimum (pendant edges, last by id, lie in every union). Families run in
+order of a bound, ceil(MST / 2^M) for M edges plus max(3, |p|) per
+multi-node part p, until one exceeds the incumbent's weight. Lemma: the
+family of the optimum's own parts is never skipped, and its union is the
+optimum. Its MST costs at most the optimum's own connections, each of its
+containers has >= max(3, |p|) edges and weighs at most the optimum's
+block there, and these pieces are edge-disjoint. So its bound is at most
+the optimum's weight, hence the incumbent's, and its union weighs at most
+the unique minimum (parts of <= 3 nodes aside: ROADMAP K, small-part gap).
 """
 
 from __future__ import annotations
@@ -49,13 +58,7 @@ from .errors import (
 from .graph import Graph, _augment, blocks_and_cuts, is_connected, subgraph_nodes
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
-from .twonc import _Incumbent, _Subcalls
-
-# The family bound is compared with a floor refreshed from the incumbent
-# every _BATCH families. The bound is not admissible (ROADMAP item K): a
-# floor refreshed per family would skip families that can win a tie, so
-# the batch size is part of the answer.
-_BATCH = 32
+from .twonc import _Incumbent, _perturbed, _Subcalls
 
 
 @dataclass
@@ -122,7 +125,8 @@ def _two_disjoint_paths(
     paths) on the residual network of ``_protected_arcs``, whose
     capacities start afresh here. All weights are >= 1, so a minimum
     cost flow never sends a unit both ways along one edge and the two
-    units decompose into genuinely edge-disjoint paths. An end of degree
+    units decompose into genuinely edge-disjoint paths: under
+    ``twonc._perturbed`` weights, the unique minimum pair. An end of degree
     below 2 (every pendant node) has no such pair; each incident edge
     lists two arcs at its node.
     """
@@ -152,7 +156,7 @@ def _protected_arcs(
     or such a pair; chains of segments are left to the table builder.
     The residual network of the pair search is built once per graph:
     both directions of every edge, each followed by its zero-capacity
-    twin (arc i ^ 1).
+    twin (arc i ^ 1). A tie keeps the first segment found.
     """
     arcs: dict[tuple[int, int], tuple[int, frozenset[int]]] = {}
     head: list[int] = []
@@ -169,18 +173,13 @@ def _protected_arcs(
         if not e.safe or e.u == e.v:
             continue
         key = (min(e.u, e.v), max(e.u, e.v))
-        cand = (w[e.id], frozenset({e.id}))
-        old = arcs.get(key)
-        if old is None or (cand[0], sorted(cand[1])) < (old[0], sorted(old[1])):
-            arcs[key] = cand
+        if key not in arcs or w[e.id] < arcs[key][0]:
+            arcs[key] = (w[e.id], frozenset({e.id}))
 
     net = (head, cost, eid, out)
     for pair in itertools.combinations(range(g.n), 2):
         got = _two_disjoint_paths(net, pair[0], pair[1])
-        if got is None:
-            continue
-        old = arcs.get(pair)
-        if old is None or (got[0], sorted(got[1])) < (old[0], sorted(old[1])):
+        if got is not None and (pair not in arcs or got[0] < arcs[pair][0]):
             arcs[pair] = got
     return arcs
 
@@ -250,13 +249,14 @@ def build_protected_table(
 
 def min_protected_path(g: Graph, u: int, v: int) -> Solution:
     """Minimum-size edge set connecting u and v through any single
-    unsafe-edge failure; u = v yields the empty set."""
+    unsafe-edge failure, the lexicographically smallest (its table runs on
+    ``twonc._perturbed`` unit weights); u = v yields the empty set."""
     for node in (u, v):
         if not 0 <= node < g.n:
             raise ValueError(f"node {node} outside the node range")
     if u == v:
         return Solution(edges=frozenset(), cost=Fraction(0))
-    table = build_protected_table(g)
+    table = build_protected_table(g, _perturbed([1] * g.m))
     found = table.path(u, v)
     if found is None:
         raise NoProtectedPath(f"no 1-protected path between {u} and {v}")
@@ -271,9 +271,10 @@ def mst_join(
     realizing paths.
 
     The weight is the tree total in the table metric; the edge union
-    can only be cheaper when realizing paths overlap. Links tie by node
-    index (parts in order, then the sorted terminals). Raises ValueError
-    on an empty part and InfiniteMst when the links do not span.
+    can only be cheaper when realizing paths overlap. Links rank by weight,
+    then node index (parts in order, then the sorted terminals); the k-FST
+    bound needs only the tree's weight to be minimal. Raises ValueError on
+    an empty part and InfiniteMst when the links do not span.
     """
     nodes = [frozenset(p) for p in parts]
     if not all(nodes):
@@ -374,54 +375,40 @@ def _kfst_core(
     if not prefix_feasible(g2, t2, ProblemKind.KFST, list(g2.edge_ids())):
         raise Infeasible("no subgraph connects the terminals through every failure")
     calls = _Subcalls(inst.graph, weights, stats)
-    w2 = calls.w + [1] * k  # pendant edges weigh one unit each
-
+    w2 = _perturbed(calls.w + [1] * k)  # pendant edges weigh one unit each
     table = build_protected_table(g2, w2)
-    stats.count(
-        "protected_pairs",
-        sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :]),
-    )
+    pairs = sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :])
+    stats.count("protected_pairs", pairs)
     full = frozenset(g2.edge_ids())
-    incumbent = _Incumbent(sum(w2), full)
+    incumbent = _Incumbent(w2, full)
 
     families = list(_part_families(list(range(inst.graph.n)), k))
     stats.iterations += len(families)
 
-    # the MST weight in the table metric plus max(3, |p|) per multi-node part
+    # the plain MST weight plus max(3, |p|) per multi-node part
     bounded: list[tuple[int, int, tuple, frozenset[int]]] = []
     for index, parts in enumerate(families):
         try:
-            weight, tree = mst_join(table, parts, t2)
+            mst, tree = mst_join(table, parts, t2)
         except InfiniteMst:
             continue
-        weight += sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
-        bounded.append((weight, index, parts, tree))
-    bounded.sort(key=lambda item: (item[0], item[1]))
+        bound = -(-mst >> g2.m) + sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
+        bounded.append((bound, index, parts, tree))
+    bounded.sort()  # by (bound, index): indices are distinct
 
-    def evaluate(item) -> tuple[int, frozenset[int]] | None:
-        _, _, parts, tree = item
+    for bound, index, parts, tree in bounded:
+        if bound > incumbent.weight:
+            break  # no later family is the optimum's own (module docstring)
         union = set(tree)
         for part in parts:
-            if len(part) == 1:
-                continue
-            got = calls.container(part)
+            got = calls.container(part) if len(part) > 1 else frozenset()
             if got is None:
-                return None
-            union |= got[1]
-        cand = frozenset(union)
-        return sum(w2[e] for e in cand), cand
-
-    for pos, item in enumerate(bounded):
-        if pos % _BATCH == 0:
-            floor = incumbent.weight
-        if item[0] > floor:
-            # sorted by (bound, index), and the floor only falls: every
-            # later family stays above it
-            break
-        outcome = evaluate(item)
-        # feasible by the union lemma
-        if outcome is not None and incumbent.offer(*outcome):
-            stats.updates.append((item[1], outcome[0]))
+                break
+            union |= got
+        else:  # every part priced; feasible by the union lemma
+            cand = frozenset(union)
+            if incumbent.offer(sum(w2[e] for e in cand), cand):
+                stats.updates.append((index, incumbent.weight))
 
     if incumbent.edges == full and not _survives(g2, full, set(t2)):
         raise Infeasible("no feasible candidate was assembled")

@@ -50,7 +50,8 @@ class SolveStats:
     subcall or by a bound), so tests can compare it against closed-form
     counts. ``updates`` records ``(index, incumbent weight)`` pairs, where
     the index is the marker subset's for 2NCS and the family's for k-FST
-    and 2ECS; the weight sequence is non-increasing by construction.
+    and 2ECS, and the weight is plain (not the scans' perturbed sums); the
+    weight sequence is non-increasing by construction.
     """
 
     iterations: int = 0

@@ -8,9 +8,10 @@ earlier parts. ``_solve_core``'s scan is the one place
 this space is built. Every configuration assembles a candidate subgraph:
 a minimum Steiner cycle through the first part (three nodes or more,
 since the target subgraph needs them) unioned with a minimum Steiner path
-per later part between its anchors. The smallest candidate wins; ties
-break to the lexicographically smallest edge-id set, so the answer does
-not depend on the scan order, but the recorded updates do.
+per later part between its anchors. The register (``_Incumbent``) keeps
+the smallest ``_perturbed`` sum: the smallest weight, ties broken to the
+lexicographically smallest edge-id set. So the answer does not depend on
+the scan order, but the recorded updates do.
 
 Lemma 0: every candidate is feasible (Whitney's ear theorem, 1932). The
 first part's cycle has at least 3 nodes (``min_nodes=3``). Each later
@@ -30,10 +31,10 @@ with it every configuration, of the smaller S - T.
 
 Three edge-count bounds skip the parts of the space whose candidates are
 all heavier than the incumbent. Edge weights are integers >= 1, and each
-bound is strict, so a candidate that ties the incumbent still reaches the
-comparison of edge-id tuples. Every candidate over a ground covers the
-ground, and by lemma 0 every one is 2-node-connected on >= 3 nodes, so
-each of its nodes has degree >= 2.
+bound is strict and compared in plain units, so a candidate that ties the
+incumbent's weight still reaches the register. Every candidate over a
+ground covers the ground, and by lemma 0 every one is 2-node-connected on
+>= 3 nodes, so each of its nodes has degree >= 2.
 
 1. Ears. Let P be a partial union (the first part's cycle, then each
    added path) and N the ground nodes it misses. Every edge at a node of
@@ -82,14 +83,41 @@ from .solution import ProblemKind, Solution, SolveStats, run_stats
 
 
 _MISS = object()
-_Result = tuple[int, frozenset[int], int]  # weight, edge ids, node bitmask
+_Result = tuple[int, frozenset[int], int]  # perturbed sum, edge ids, node bitmask
+
+
+def _perturbed(w: list[int]) -> list[int]:
+    """``w[e] * 2^m - 2^(m-1-e)`` per edge, for integer weights w >= 1.
+    A set of weight W sums to W * 2^m minus its own bitmask (edge 0 high),
+    so the least sum has the least weight and then the lexicographically
+    smallest edge ids: at equal weight no set is a prefix of another. A sum
+    s has plain weight ``-(-s >> m)``."""
+    m = len(w)
+    return [(x << m) - (1 << (m - 1 - e)) for e, x in enumerate(w)]
+
+
+class _Incumbent:
+    """Minimum register over sums of the ``_perturbed`` weights ``p``, seeded
+    with ``edges``; ``weight`` is the plain weight of the edges held."""
+
+    def __init__(self, p: list[int], edges: frozenset[int]):
+        self.shift = len(p)
+        self.total, self.edges = sum(p[e] for e in edges), edges
+        self.weight = -(-self.total >> self.shift)
+
+    def offer(self, total: int, edges: frozenset[int]) -> bool:
+        if total >= self.total:
+            return False
+        self.total, self.edges = total, edges
+        self.weight = -(-total >> self.shift)
+        return True
 
 
 class _Subcalls:
     """Memoized subcalls over one graph and weight vector: cycles, paths
     and part containers; all of them share one ``SearchPrep`` of the
-    search kernel's tables. A cycle or path result is ``(weight, edges,
-    node mask)``, or None when there is none."""
+    search kernel's tables; ``p`` holds the ``_perturbed`` weights. A cycle
+    or path result is ``(perturbed sum, edges, node mask)``, or None."""
 
     def __init__(
         self,
@@ -100,20 +128,19 @@ class _Subcalls:
         self.g = g
         self.prep = SearchPrep(g, weights)
         self.w = self.prep.w
+        self.p = _perturbed(self.w)
         self.stats = stats
         self.cycles: dict[frozenset[int], _Result | None] = {}
         self.paths: dict[tuple[frozenset[int], int, int], _Result | None] = {}
-        self.containers: dict[frozenset[int], tuple[int, frozenset[int]] | None] = {}
+        self.containers: dict[frozenset[int], frozenset[int] | None] = {}
 
-    def _weigh(self, edges: frozenset[int]) -> int:
-        return sum(self.w[eid] for eid in edges)
-
-    def _result(self, total: int, eids: tuple[int, ...]) -> _Result:
-        mask = 0
-        for eid in eids:
+    def _result(self, found: tuple[int, tuple[int, ...]]) -> _Result:
+        total = mask = 0  # the kernel's minimum is the perturbed one
+        for eid in found[1]:
             edge = self.g.edges[eid]
             mask |= 1 << edge.u | 1 << edge.v
-        return total, frozenset(eids), mask
+            total += self.p[eid]
+        return total, frozenset(found[1]), mask
 
     def cycle(self, part: frozenset[int]) -> _Result | None:
         hit = self.cycles.get(part, _MISS)
@@ -122,7 +149,7 @@ class _Subcalls:
         result: _Result | None
         try:
             # the target subgraph needs >= 3 nodes (lemma 0)
-            result = self._result(*search_min_cycle(self.g, part, min_nodes=3, prep=self.prep))
+            result = self._result(search_min_cycle(self.g, part, min_nodes=3, prep=self.prep))
         except NoCycle:
             result = None
         self.stats.count("cycle_calls")
@@ -136,16 +163,16 @@ class _Subcalls:
             return hit
         result: _Result | None
         try:
-            result = self._result(*search_min_path(self.g, part, s, t, prep=self.prep))
+            result = self._result(search_min_path(self.g, part, s, t, prep=self.prep))
         except NoPath:
             result = None
         self.stats.count("path_calls")
         self.paths[key] = result
         return result
 
-    def container(self, part: frozenset[int]) -> tuple | None:
-        """``(weight, edges, ...)`` of the 2-node-connected container that
-        k-FST prices ``part`` with, or None: its minimum Steiner cycle up to
+    def container(self, part: frozenset[int]) -> frozenset[int] | None:
+        """The edges of the 2-node-connected container that k-FST prices
+        ``part`` with, or None: its minimum Steiner cycle up to
         three nodes, else the 2NCS scan on this memo, memoized per part.
         That scan's own counters, iterations included, are kept as
         ``twonc_<name>``; its cycle and path calls count as this memo's."""
@@ -154,13 +181,14 @@ class _Subcalls:
             # cycle, and a part with no such cycle is skipped. That is not
             # always the minimum 2-node-connected container: the three
             # degree-2 nodes of K_{2,3} share no cycle (ROADMAP K, small-part gap).
-            return self.cycle(part)
+            hit = self.cycle(part)
+            return hit and hit[1]
         hit = self.containers.get(part, _MISS)
         if hit is not _MISS:
             return hit
         scratch = SolveStats()
         try:
-            got = _solve_core(self, part, scratch)
+            got = _solve_core(self, part, scratch)[1]
         except Infeasible:
             got = None
         self.stats.count("twonc_calls")
@@ -171,27 +199,11 @@ class _Subcalls:
         return got
 
 
-class _Incumbent:
-    """Minimum register: min by (weight, lexicographic edge tuple)."""
-
-    def __init__(self, weight: int, edges: frozenset[int]):
-        self.weight = weight
-        self.key = tuple(sorted(edges))
-        self.edges = edges
-
-    def offer(self, weight: int, edges: frozenset[int]) -> bool:
-        key = tuple(sorted(edges))
-        if (weight, key) < (self.weight, self.key):
-            self.weight, self.key, self.edges = weight, key, edges
-            return True
-        return False
-
-
 def _solve_core(
     calls: _Subcalls, terminals, stats: SolveStats
 ) -> tuple[int, frozenset[int]]:
-    """The scan over the graph of ``calls``; its cycle and path calls count
-    in ``calls.stats``, everything else in ``stats``."""
+    """The scan over the graph of ``calls``: (plain weight, edges). Its cycle
+    and path calls count in ``calls.stats``, everything else in ``stats``."""
     g = calls.g
     terms = sorted(set(terminals))
     k = len(terms)
@@ -201,7 +213,8 @@ def _solve_core(
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
     full = frozenset(g.edge_ids())
-    incumbent = _Incumbent(calls._weigh(full), full)
+    p, shift = calls.p, g.m
+    incumbent = _Incumbent(p, full)
     term_set = set(terms)
     bound = max(2 * k - 4, 0)
     iterations = 0
@@ -242,27 +255,26 @@ def _solve_core(
                 dims.append([(s, t) for s in nodes for t in nodes if s < t])
                 pool |= parts[i]
 
-            def walk(idx: int, union: frozenset[int], weight: int, mask: int) -> None:
-                nonlocal ear_prunes
-                missing = ground_mask & ~mask
-                if missing and weight + missing.bit_count() + 1 > incumbent.weight:
+            def walk(idx: int, union: frozenset[int], total: int, mask: int) -> None:
+                nonlocal ear_prunes  # total is perturbed, the bounds are plain
+                missing = (ground_mask & ~mask).bit_count()
+                if missing and -(-total >> shift) + missing + 1 > incumbent.weight:
                     ear_prunes += 1  # lemma 1
                     return
                 if idx == len(dims):
                     # feasible by lemma 0
-                    if incumbent.offer(weight, union):
-                        stats.updates.append((subset_index, weight))
+                    if incumbent.offer(total, union):
+                        stats.updates.append((subset_index, incumbent.weight))
                     return
                 part = parts[idx + 1]
                 for s, t in dims[idx]:
                     sub = calls.path(part, s, t)
                     if sub is None:
                         continue
-                    added = sub[1] - union
-                    nw = weight + sum(calls.w[e] for e in added)
-                    if nw > incumbent.weight:
+                    nt = total + sum(p[e] for e in sub[1] - union)
+                    if -(-nt >> shift) > incumbent.weight:
                         continue
-                    walk(idx + 1, union | sub[1], nw, mask | sub[2])
+                    walk(idx + 1, union | sub[1], nt, mask | sub[2])
 
             walk(0, cyc[1], cyc[0], cyc[2])
     stats.iterations += iterations

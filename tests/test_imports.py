@@ -46,10 +46,24 @@ def reads(node: ast.AST) -> set[str]:
     return found
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function or class, or the
+    plain names an assignment binds (``__all__`` aside)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    )
+    return [
+        sub.id for t in targets for sub in ast.walk(t)
+        if isinstance(sub, ast.Name) and sub.id != "__all__"
+    ]
+
+
 def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of each top-level function or class (``__init__.py``
-    aside) that no ``__all__`` lists and no other top-level statement of
-    the sources reads."""
+    """``module:name`` of each top-level function, class or assigned name
+    (``__init__.py`` aside) that no ``__all__`` lists and no other
+    top-level statement of the sources reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     exported = set()
     statements = []
@@ -62,14 +76,13 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
             statements.append((module, stmt, reads(stmt)))
     dead = []
     for module, stmt, _ in statements:
-        if (
-            module == "__init__.py"
-            or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            or stmt.name in exported
-        ):
+        if module == "__init__.py":
             continue
-        if not any(stmt.name in r for _, other, r in statements if other is not stmt):
-            dead.append(f"{module}:{stmt.name}")
+        for name in defined_names(stmt):
+            if name not in exported and not any(
+                name in r for _, other, r in statements if other is not stmt
+            ):
+                dead.append(f"{module}:{name}")
     return dead
 
 
@@ -80,7 +93,18 @@ def test_the_check_sees_a_dead_definition():
         "class K: pass\n",
         "b.py": "from . import a\nx = a.K\n",
     }
-    assert dead_definitions(sources) == ["a.py:h"]
+    assert dead_definitions(sources) == ["a.py:h", "b.py:x"]
+
+
+def test_the_check_sees_a_dead_constant():
+    # a module constant left behind when its last reader went, a tuple
+    # target and an annotated name that nothing reads
+    sources = {
+        "a.py": "_USED = 3\n_BATCH = 32\n_LO, _HI = 0, 1\n_TABLE: dict = {}\n"
+        "def f(): return _USED + _HI\n",
+        "b.py": "from .a import f\n__all__ = ['f']\n",
+    }
+    assert dead_definitions(sources) == ["a.py:_BATCH", "a.py:_LO", "a.py:_TABLE"]
 
 
 def test_every_definition_is_read_or_exported():

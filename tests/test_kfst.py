@@ -1,7 +1,7 @@
 """Pendant gadget, protected paths, the join over parts and terminals,
 the survivability test, and the solvers."""
 
-import functools
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +180,7 @@ class TestProtectedPaths:
                     found = table.path(u, v)
                     assert oracle_feasible(graph, found, [u, v], ProblemKind.KFST)
                     assert len(found) == ref[key].cost
+                    assert min_protected_path(graph, u, v).edges == ref[key].edges
         stats = SolveStats()
         solve_kfst_unweighted(inst, stats=stats)
         assert stats.subcalls["protected_pairs"] == len(ref)
@@ -317,7 +318,9 @@ class TestUnweightedSolver:
 
 
 # Request 90 of the benchmark's kfst-mixed workload at seed 0: unit costs,
-# n = 11, m = 15, terminals {2, 3, 6}
+# n = 11, m = 15, terminals {2, 3, 6}. A family scan with a batch floor and
+# plain weights skipped the family of this optimum and returned the
+# equal-weight [2, 8, 9, 10, 12, 13]
 TIE_BREAK_TEXT = """kfst 11 15 3
 t 2
 t 3
@@ -342,8 +345,8 @@ TIE_BREAK_EDGES = frozenset({0, 1, 8, 9, 10, 13})
 
 
 # The join minimizes the sum of table costs, not the weight of the edge
-# union, so even a scan of every family misses this optimum: the solver's
-# tree [0, 3, 6, 7, 8, 10, 11] and the oracle's both weigh 7.
+# union, so on plain weights even a scan of every family missed this
+# optimum: it returned [0, 3, 6, 7, 8, 10, 11], which also weighs 7.
 UNION_TIE_TEXT = """kfst 9 12 3
 t 1
 t 4
@@ -365,9 +368,9 @@ UNION_TIE_EDGES = frozenset({0, 3, 4, 5, 8, 10, 11})
 
 
 # Two k = 2 ties (terminals 0 and 1): the graph, the oracle's optimum and
-# the solver's answer of equal cost. A sweep of 4,000 random unit
-# multigraphs (n 2-7, m 1-10, k-FST and 2ECS) found 131 such answers among
-# 4,557 feasible ones
+# the answer of equal cost that a protected table on plain weights gives.
+# A sweep of 4,000 random unit multigraphs (n 2-7, m 1-10, k-FST and 2ECS)
+# found 131 such answers among 4,557 feasible ones
 TWO_TERMINAL_TIES = {
     ProblemKind.KFST: (
         Graph.build(3, [(1, 2, 1, True), (0, 2, 1, True), (2, 0, 1, False),
@@ -400,23 +403,10 @@ class TestTieBreak:
         assert ref.edges == UNION_TIE_EDGES and ref.cost == 7
         assert solve_kfst_unweighted(inst).cost == 7
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="mst_join ranks trees by the sum of their table costs, not by "
-        "the weight of their edge union, so no family order reaches the "
-        "lexicographically smallest optimum; the solver returns "
-        "[0, 3, 6, 7, 8, 10, 11] (ROADMAP item K)",
-    )
     def test_union_weight_ties_break_to_the_smallest_edge_set(self):
         inst = read_instance(UNION_TIE_TEXT)[1]
         assert solve_kfst_unweighted(inst).edges == UNION_TIE_EDGES
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the family bound is not admissible and families are pruned per "
-        "batch, so the scan skips the family that yields the lexicographically "
-        "smallest optimum and returns [2, 8, 9, 10, 12, 13] (ROADMAP item K)",
-    )
     def test_ties_break_to_the_smallest_edge_set(self):
         inst = read_instance(TIE_BREAK_TEXT)[1]
         assert solve_kfst_unweighted(inst).edges == TIE_BREAK_EDGES
@@ -428,15 +418,7 @@ class TestTieBreak:
         assert ref.edges == want
         assert solve_two_terminals(kind, g).cost == ref.cost
 
-    @pytest.mark.parametrize("kind", [
-        pytest.param(kind, marks=pytest.mark.xfail(
-            strict=True,
-            reason="at k = 2 the answer is the one pay set the protected "
-            "table's Floyd-Warshall pass keeps, whichever optimum it reaches "
-            f"first; the solver returns {TWO_TERMINAL_TIES[kind][2]} (ROADMAP item K)",
-        ))
-        for kind in (ProblemKind.KFST, ProblemKind.TWO_ECS)
-    ])
+    @pytest.mark.parametrize("kind", [ProblemKind.KFST, ProblemKind.TWO_ECS])
     def test_two_terminal_ties_break_to_the_smallest_edge_set(self, kind):
         g, want, _ = TWO_TERMINAL_TIES[kind]
         assert solve_two_terminals(kind, g).edges == want
@@ -527,71 +509,57 @@ class TestFourTerminals:
             assert f"twonc_{name}" in stats.subcalls, name
 
 
-# The reference's batch size, fixed here: the solver's ``_BATCH`` is part
-# of its answer until the family bound is admissible (ROADMAP item K)
-REFERENCE_BATCH = 32
-
-
-def reference_kfst_scan(inst, weights, stats):
-    """The k-FST family scan in batch slices (k >= 3): bounded families
-    sorted by (bound, index), evaluated in slices of ``REFERENCE_BATCH``
-    against a floor read at each slice start, a break after a slice whose
-    successor starts above the incumbent, and ``_survives`` on every
-    would-be update. Returns the edges in original ids."""
+def reference_kfst_scan(inst, weights, stats, floor=True):
+    """The k-FST family scan: families joined on the protected table of the
+    pendant graph's ``twonc._perturbed`` weights, sorted by (bound, index),
+    and ``_survives`` on every would-be update. Its register keeps the
+    plain rule, the minimum (weight, sorted edge-id tuple). With ``floor``
+    the scan stops at the first bound above the incumbent's weight, the
+    bound being ceil(MST / 2^M) plus max(3, |p|) per multi-node part;
+    without it every family is evaluated. A family's parts are priced in
+    order on one ``twonc._Subcalls`` counting in ``stats``, up to the
+    first without a container, so equal counts mean equal families
+    priced. Returns the edges in original ids."""
     g0, k = inst.graph, len(inst.terminals)
     mod = apply_pendant_gadget(inst)
     g2, t2 = mod.graph, sorted(mod.terminals)
     w2 = [(weights or {}).get(e, 1) for e in range(g0.m)] + [1] * k
-    table = build_protected_table(g2, w2)
+    table = build_protected_table(g2, twonc._perturbed(w2))
     full = frozenset(g2.edge_ids())
-    incumbent = twonc._Incumbent(sum(w2), full)
-    small_parts = twonc._Subcalls(g0, weights, SolveStats())
-
-    @functools.cache
-    def container(part):
-        if len(part) <= 3:
-            return small_parts.cycle(part)
-        try:
-            calls = twonc._Subcalls(g0, weights, SolveStats())
-            return twonc._solve_core(calls, part, SolveStats())
-        except Infeasible:
-            return None
+    best = (sum(w2), tuple(sorted(full)))
+    calls = twonc._Subcalls(g0, weights, stats)
 
     families = list(kfst._part_families(list(range(g0.n)), k))
     stats.iterations += len(families)
     bounded = []
     for index, parts in enumerate(families):
         try:
-            weight, tree = mst_join(table, parts, t2)
+            mst, tree = mst_join(table, parts, t2)
         except InfiniteMst:
             continue
-        weight += sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
-        bounded.append((weight, index, parts, tree))
+        bound = math.ceil(Fraction(mst, 2**g2.m))
+        bound += sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
+        bounded.append((bound, index, parts, tree))
     bounded.sort(key=lambda item: item[:2])
 
-    pos = 0
-    while pos < len(bounded):
-        batch = bounded[pos : pos + REFERENCE_BATCH]
-        pos += REFERENCE_BATCH
-        floor = incumbent.weight
-        for bound, index, parts, tree in batch:
-            if bound > floor:
-                continue
-            got = [container(p) for p in parts if len(p) > 1]
-            if None in got:
-                continue
-            cand = frozenset(tree.union(*(c[1] for c in got)))
-            weight = sum(w2[e] for e in cand)
-            if (weight, tuple(sorted(cand))) < (incumbent.weight, incumbent.key) and (
-                _survives(g2, cand, set(t2))
-            ):
-                if incumbent.offer(weight, cand):
-                    stats.updates.append((index, weight))
-        if pos < len(bounded) and bounded[pos][0] > incumbent.weight:
+    for bound, index, parts, tree in bounded:
+        if floor and bound > best[0]:
             break
-    if incumbent.edges == full and not _survives(g2, full, set(t2)):
+        got = []
+        for part in (p for p in parts if len(p) > 1):
+            got.append(calls.container(part))
+            if got[-1] is None:
+                break
+        if None in got:
+            continue
+        cand = frozenset(tree.union(*got))
+        key = (sum(w2[e] for e in cand), tuple(sorted(cand)))
+        if key < best and _survives(g2, cand, set(t2)):
+            best = key
+            stats.updates.append((index, key[0]))
+    if best[1] == tuple(sorted(full)) and not _survives(g2, full, set(t2)):
         raise Infeasible("no feasible candidate")
-    return incumbent.edges - {eid for _, eid in mod.pendant_map.values()}
+    return frozenset(best[1]) - {eid for _, eid in mod.pendant_map.values()}
 
 
 def reference_case(k, ecs, weighted, seed):
@@ -609,7 +577,8 @@ def reference_case(k, ecs, weighted, seed):
 
 
 # (k, ecs, weighted, seed). The unit k = 4 k-FST seeds are the four of the
-# first 40 whose answer or updates change with the batch size: 1 and 26
+# first 40 whose answer or updates changed with the batch size of an
+# earlier family loop, which refreshed its floor once per batch: 1 and 26
 # under a batch of 1, 28 and 37 under a batch of 64
 REFERENCE_CASES = (
     [(4, False, False, seed) for seed in (1, 26, 28, 37)]
@@ -623,9 +592,12 @@ REFERENCE_CASES = (
 class TestReferenceScan:
     """The one-pass family loop against ``reference_kfst_scan``: exact
     edges, ``iterations`` and ``updates``, over k-FST and 2ECS, unit and
-    integer weights, k = 3 and 4. Mutations checked against, each failing
-    a case: ``_BATCH = 1``, ``_BATCH = 64``, and a floor read once before
-    the loop."""
+    integer weights, k = 3 and 4, with the same part pricing counts; and
+    the same edges from the reference without its floor, which shows that
+    the family bound loses no optimum. Mutations checked against, each
+    failing a case: skipping a family whose bound equals the incumbent's
+    weight (``>=``), the MST term without its ceiling (``>>``), and a part
+    term of max(3, |p|) + 1."""
 
     @pytest.mark.parametrize("k,ecs,weighted,seed", REFERENCE_CASES)
     def test_matches_the_reference(self, k, ecs, weighted, seed):
@@ -640,6 +612,9 @@ class TestReferenceScan:
         assert kfst._kfst_core(inst, weights=weights, stats=stats) == want
         assert stats.iterations == ref_stats.iterations
         assert stats.updates == ref_stats.updates
+        for name in ("cycle_calls", "path_calls", "twonc_calls"):
+            assert stats.subcalls.get(name) == ref_stats.subcalls.get(name), name
+        assert reference_kfst_scan(inst, weights, SolveStats(), floor=False) == want
 
 
 def two_terminal_case(seed):
@@ -669,7 +644,8 @@ def two_terminal_answers(seed):
     )
     out = []
     for graph, w, solve in cases:
-        table = build_protected_table(graph, [(w or {}).get(e, 1) for e in graph.edge_ids()])
+        w2 = [(w or {}).get(e, 1) for e in graph.edge_ids()]
+        table = build_protected_table(graph, twonc._perturbed(w2))
         try:
             got = solve()
         except Infeasible:

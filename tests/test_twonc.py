@@ -194,11 +194,17 @@ def reference_scan(g, terms, weights, subset_bound, stats):
     most ``subset_bound`` nodes, every ordered partition of T union S and
     every ordered anchor pair, pruned only where a subcall fails or the
     partial union already outweighs the incumbent, with those subtrees
-    counted by their closed-form size."""
+    counted by their closed-form size. Its register keeps the plain rule,
+    the minimum (weight, sorted edge-id tuple), where the solver compares
+    ``twonc._perturbed`` sums."""
     k = len(terms)
     calls = twonc._Subcalls(g, weights, stats)
     full = frozenset(g.edge_ids())
-    incumbent = twonc._Incumbent(calls._weigh(full), full)
+
+    def weigh(edges):
+        return sum(calls.w[e] for e in edges)
+
+    best = (weigh(full), tuple(sorted(full)))
     term_set = set(terms)
 
     def feasible(edges):
@@ -213,19 +219,20 @@ def reference_scan(g, terms, weights, subset_bound, stats):
                 return math.prod(len(p) * (len(p) - 1) for p in pools[idx:])
 
             def walk(idx, union, weight):
+                nonlocal best
                 if idx == len(pools):
                     stats.iterations += 1
                     # feasibility is tested only on would-be updates,
                     # independently of the solver's lemma 0
                     key = tuple(sorted(union))
-                    if (weight, key) < (incumbent.weight, incumbent.key) and feasible(union):
-                        if incumbent.offer(weight, union):
-                            stats.updates.append((index, weight))
+                    if (weight, key) < best and feasible(union):
+                        best = (weight, key)
+                        stats.updates.append((index, weight))
                     return
                 for s, t in itertools.permutations(pools[idx], 2):
                     sub = calls.path(parts[idx + 1], s, t)
-                    nw = None if sub is None else weight + calls._weigh(sub[1] - union)
-                    if nw is None or nw > incumbent.weight:
+                    nw = None if sub is None else weight + weigh(sub[1] - union)
+                    if nw is None or nw > best[0]:
                         stats.iterations += points(idx + 1)
                         continue
                     walk(idx + 1, union | sub[1], nw)
@@ -234,11 +241,11 @@ def reference_scan(g, terms, weights, subset_bound, stats):
             if cyc is None:
                 stats.iterations += points(0)
             else:
-                walk(0, cyc[1], cyc[0])
-    final = incumbent.edges
+                walk(0, cyc[1], weigh(cyc[1]))
+    final = frozenset(best[1])
     if final == full and not feasible(full):
         raise Infeasible("no feasible candidate")
-    return incumbent.weight, final
+    return best[0], final
 
 
 # graph sizes per (k, wide), with two seeds on the smallest; a wide case
