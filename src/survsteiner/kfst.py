@@ -18,14 +18,17 @@ and two-edge-disjoint path pairs. The cheapest assembly over all
 families wins. Two terminals take the same scan: their one family is the
 empty one, and its join is the protected path between the pendants.
 
-Union lemma: every assembled union passes ``_survives``. No ``pay`` set
-of the table has an unsafe bridge: each is a safe edge, two edge-disjoint
-paths, or a Floyd-Warshall union of two such sets at a shared node. Every
-part container is 2-node-connected. The spanning tree glues all of these
-pieces into one connected subgraph over every part and every pendant
-terminal, and a bridge of the union is a bridge of the piece that holds
-it. So the scan offers each union as it stands; the only feasibility
-tests are ``prefix_feasible`` before it and the sentinel check after it.
+Union lemma: every assembled union is feasible, and
+``tests/test_feasible_by_construction.py`` checks every offer with
+``oracle_feasible``. No ``pay`` set of the table has an unsafe bridge:
+each is a safe edge, two edge-disjoint paths, or a Floyd-Warshall union
+of two such sets at a shared node. Every part container is
+2-node-connected. The spanning tree glues all of these pieces into one
+connected subgraph over every part and every pendant terminal, and a
+bridge of the union is a bridge of the piece that holds it. So the scan
+offers each union as it stands; ``prefix_feasible`` before it is the only
+feasibility test, and a register still empty after it is a fault,
+reported as Infeasible.
 
 One Floyd-Warshall table of those paths serves a whole request: the
 join reads each set-to-set link from it as a minimum over node pairs.
@@ -55,7 +58,7 @@ from .errors import (
     NoProtectedPath,
     NotModified,
 )
-from .graph import Graph, _augment, blocks_and_cuts, is_connected, subgraph_nodes
+from .graph import Graph, _augment
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
 from .twonc import _Incumbent, _perturbed, _Subcalls
@@ -311,19 +314,6 @@ def mst_join(
     return total, frozenset(edges)
 
 
-def _survives(g: Graph, edges: frozenset[int], terms: set[int]) -> bool:
-    """Terminals covered, connected, and no unsafe bridge.
-
-    Deleting a non-bridge edge keeps every covered node connected;
-    deleting a bridge disconnects the subgraph or orphans a leaf, which
-    counts as a disconnection too.
-    """
-    if not edges or not terms <= subgraph_nodes(g, edges) or not is_connected(g, edges):
-        return False
-    _, _, bridges = blocks_and_cuts(g, edges)
-    return all(g.edges[eid].safe for eid in bridges)
-
-
 def _part_families(universe: list[int], k: int):
     """All families of distinct non-empty node sets: at most k-2 of
     them, total size at most 3k-6. Duplicated sets and padded tuple
@@ -379,8 +369,7 @@ def _kfst_core(
     table = build_protected_table(g2, w2)
     pairs = sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :])
     stats.count("protected_pairs", pairs)
-    full = frozenset(g2.edge_ids())
-    incumbent = _Incumbent(w2, full)
+    incumbent = _Incumbent(g2.m)
 
     families = list(_part_families(list(range(inst.graph.n)), k))
     stats.iterations += len(families)
@@ -410,7 +399,7 @@ def _kfst_core(
             if incumbent.offer(sum(w2[e] for e in cand), cand):
                 stats.updates.append((index, incumbent.weight))
 
-    if incumbent.edges == full and not _survives(g2, full, set(t2)):
+    if incumbent.edges is None:
         raise Infeasible("no feasible candidate was assembled")
     return incumbent.edges - {eid for _, eid in mod.pendant_map.values()}
 

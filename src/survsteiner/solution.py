@@ -48,10 +48,11 @@ class SolveStats:
     ``iterations`` counts every configuration of the outer enumeration,
     walked or counted in bulk (including ones skipped after a failed
     subcall or by a bound), so tests can compare it against closed-form
-    counts. ``updates`` records ``(index, incumbent weight)`` pairs, where
-    the index is the marker subset's for 2NCS and the family's for k-FST
-    and 2ECS, and the weight is plain (not the scans' perturbed sums); the
-    weight sequence is non-increasing by construction.
+    counts. ``updates`` records ``(index, incumbent weight)`` pairs, the
+    index being the marker subset's for 2NCS and the family's for k-FST
+    and 2ECS, the weight plain (not the scans' perturbed sums) and never
+    rising. The register starts empty, so a solve records at least one,
+    and the last is the answer's weight (pendant edges in, for k-FST).
     """
 
     iterations: int = 0

@@ -19,8 +19,8 @@ path is simple, and its ends s < t lie on the union so far, so every
 stretch of it outside the union has two distinct ends on the union: an
 open ear. So every union is 2-node-connected, and it covers the ground,
 which contains T. The scan therefore offers each candidate as it stands;
-the only feasibility tests are ``prefix_feasible`` before it and the
-check of the all-edges sentinel after it.
+``prefix_feasible`` before it is the only feasibility test, and a register
+still empty after it is a fault, reported as Infeasible.
 
 Two parts of the space are counted but never searched, because every
 candidate in them was offered before and the register only decreases,
@@ -72,12 +72,13 @@ repeats exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cycles import SearchPrep, search_min_cycle, search_min_path
 from .enumeration import count_anchor_vectors, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath
-from .graph import Graph, is_2nc
+from .graph import Graph
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
 
@@ -97,13 +98,13 @@ def _perturbed(w: list[int]) -> list[int]:
 
 
 class _Incumbent:
-    """Minimum register over sums of the ``_perturbed`` weights ``p``, seeded
-    with ``edges``; ``weight`` is the plain weight of the edges held."""
+    """Register of the least ``_perturbed`` sum over ``shift`` edges and its
+    plain ``weight``; empty (no edges, both infinite) until the first offer."""
 
-    def __init__(self, p: list[int], edges: frozenset[int]):
-        self.shift = len(p)
-        self.total, self.edges = sum(p[e] for e in edges), edges
-        self.weight = -(-self.total >> self.shift)
+    def __init__(self, shift: int):
+        self.shift = shift
+        self.total = self.weight = math.inf
+        self.edges: frozenset[int] | None = None
 
     def offer(self, total: int, edges: frozenset[int]) -> bool:
         if total >= self.total:
@@ -212,9 +213,8 @@ def _solve_core(
     if not prefix_feasible(g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())):
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
-    full = frozenset(g.edge_ids())
     p, shift = calls.p, g.m
-    incumbent = _Incumbent(p, full)
+    incumbent = _Incumbent(shift)
     term_set = set(terms)
     bound = max(2 * k - 4, 0)
     iterations = 0
@@ -282,8 +282,7 @@ def _solve_core(
     stats.count("later_part_skips", later_part_skips)
     stats.count("ear_prunes", ear_prunes)
 
-    if incumbent.edges == full and not is_2nc(g, full):
-        # the sentinel never got replaced and is itself no solution
+    if incumbent.edges is None:
         raise Infeasible("no feasible candidate was assembled")
     return incumbent.weight, incumbent.edges
 

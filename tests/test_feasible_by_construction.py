@@ -52,12 +52,15 @@ def ring_plus_chords(rng, n, chords, weighted, unsafe):
     return Graph.build(n, specs), doubled
 
 
+KINDS = (ProblemKind.TWO_NCS, ProblemKind.KFST, ProblemKind.TWO_ECS)
+
+
 def lemma_case(seed):
     """A seeded instance: the kind, k in 2-4, unit or weighted costs. At
     k = 2 the terminals are the ends of the parallel pair, where a 2-node
     cycle would be the cheapest union."""
     rng = random.Random(f"lemma-{seed}")
-    kind = (ProblemKind.TWO_NCS, ProblemKind.KFST, ProblemKind.TWO_ECS)[seed % 3]
+    kind = KINDS[seed % 3]
     weighted = seed // 3 % 2 == 1
     k = 2 + seed // 6 % 3
     n = rng.randrange(5, 7) if k == 4 else rng.randrange(4, 8)
@@ -130,9 +133,9 @@ class TestEveryOfferIsFeasible:
         assert offered(seed)[0] == []
 
     def test_the_cases_cover_every_kind_and_k(self):
-        # every scan offers somewhere: 2NCS at k = 2-4, k-FST and 2ECS at
-        # k = 3-4, unit and weighted, and the inner 2NCS scans of k = 4
-        # parts; a harness that checks nothing passes the test above
+        # every scan offers somewhere: 2NCS, k-FST and 2ECS at k = 2-4,
+        # unit and weighted, and the inner 2NCS scans of k = 4 parts; a
+        # harness that checks nothing passes the test above
         covered = set()
         for seed in LEMMA_CASES:
             kind, weighted, _, terms = lemma_case(seed)
@@ -142,7 +145,7 @@ class TestEveryOfferIsFeasible:
             for weighted in (False, True):
                 assert (ProblemKind.TWO_NCS, k, weighted, ProblemKind.TWO_NCS) in covered
         for kind in (ProblemKind.KFST, ProblemKind.TWO_ECS):
-            for k in (3, 4):
+            for k in (2, 3, 4):
                 for weighted in (False, True):
                     assert (kind, k, weighted, ProblemKind.KFST) in covered
             assert (kind, 4, False, ProblemKind.TWO_NCS) in covered
@@ -162,5 +165,22 @@ class TestProtectedTable:
                 pay = table.path(u, v)
                 if pay is not None:
                     entries += 1
-                    assert kfst._survives(g, pay, {u, v}), (u, v, sorted(pay))
+                    survives = oracle_feasible(g, pay, [u, v], ProblemKind.KFST)
+                    assert survives, (u, v, sorted(pay))
         assert entries > 0
+
+
+class TestScanFault:
+    @pytest.mark.parametrize("kind", KINDS, ids=[kind.value for kind in KINDS])
+    def test_an_empty_register_is_reported(self, kind):
+        # a scan whose every offer is refused ends with an empty register:
+        # the solvers raise, where a register seeded with the whole graph
+        # returned all six edges as an optimum
+        g = Graph.build(5, [
+            (0, 1, 1, True), (1, 2, 1, False), (2, 3, 1, True),
+            (3, 4, 1, False), (4, 0, 1, True), (0, 2, 1, True),
+        ])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twonc._Incumbent, "offer", lambda self, total, edges: False)
+            with pytest.raises(Infeasible):
+                solve(kind, False, g, [0, 1, 3])

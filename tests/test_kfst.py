@@ -32,7 +32,6 @@ from survsteiner import (
 )
 from survsteiner import kfst, twonc
 from survsteiner.instance_io import read_instance
-from survsteiner.kfst import _survives
 
 
 def mixed_five() -> Graph:
@@ -235,32 +234,6 @@ class TestAuxiliaryGraph:
         assert table.link(frozenset({0}), frozenset({4})) is None
         with pytest.raises(InfiniteMst):
             mst_join(table, [{0}], [4])
-
-
-class TestSurvives:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_the_oracle_on_random_subsets(self, seed):
-        rng = random.Random(300 + seed)
-        base = random_mixed(rng, n_hi=7)
-        specs = [(e.u, e.v, 1, e.safe) for e in base.edges]
-        for _ in range(2):  # parallel unsafe copies of two edges
-            u, v, _, _ = rng.choice(specs)
-            specs.append((u, v, 1, False))
-        g = Graph.build(base.n, specs)
-        terms = set(rng.sample(range(g.n), 3))
-        verdicts = set()
-        for _ in range(300):
-            edges = frozenset(e for e in g.edge_ids() if rng.random() < 0.7)
-            got = _survives(g, edges, terms)
-            assert got == oracle_feasible(g, edges, terms, ProblemKind.KFST)
-            verdicts.add(got)
-        assert verdicts == {True, False}
-
-    def test_parallel_unsafe_pair_is_no_bridge(self):
-        g = Graph.build(3, [(0, 1, 1, True), (1, 2, 1, False), (1, 2, 1, False)])
-        assert _survives(g, frozenset({0, 1, 2}), {0, 2})
-        assert not _survives(g, frozenset({0, 1}), {0, 2})
-        assert not _survives(g, frozenset(), {0})
 
 
 class TestUnweightedSolver:
@@ -512,21 +485,20 @@ class TestFourTerminals:
 def reference_kfst_scan(inst, weights, stats, floor=True):
     """The k-FST family scan: families joined on the protected table of the
     pendant graph's ``twonc._perturbed`` weights, sorted by (bound, index),
-    and ``_survives`` on every would-be update. Its register keeps the
-    plain rule, the minimum (weight, sorted edge-id tuple). With ``floor``
-    the scan stops at the first bound above the incumbent's weight, the
-    bound being ceil(MST / 2^M) plus max(3, |p|) per multi-node part;
-    without it every family is evaluated. A family's parts are priced in
-    order on one ``twonc._Subcalls`` counting in ``stats``, up to the
-    first without a container, so equal counts mean equal families
-    priced. Returns the edges in original ids."""
+    and ``oracle_feasible`` on every would-be update. Its register starts
+    empty and keeps the plain rule, the minimum (weight, sorted edge-id
+    tuple). With ``floor`` the scan stops at the first bound above the
+    incumbent's weight, the bound being ceil(MST / 2^M) plus max(3, |p|)
+    per multi-node part; without it every family is evaluated. A family's
+    parts are priced in order on one ``twonc._Subcalls`` counting in
+    ``stats``, up to the first without a container, so equal counts mean
+    equal families priced. Returns the edges in original ids."""
     g0, k = inst.graph, len(inst.terminals)
     mod = apply_pendant_gadget(inst)
     g2, t2 = mod.graph, sorted(mod.terminals)
     w2 = [(weights or {}).get(e, 1) for e in range(g0.m)] + [1] * k
     table = build_protected_table(g2, twonc._perturbed(w2))
-    full = frozenset(g2.edge_ids())
-    best = (sum(w2), tuple(sorted(full)))
+    best = (math.inf, ())  # empty: every candidate holds the pendant edges
     calls = twonc._Subcalls(g0, weights, stats)
 
     families = list(kfst._part_families(list(range(g0.n)), k))
@@ -554,10 +526,10 @@ def reference_kfst_scan(inst, weights, stats, floor=True):
             continue
         cand = frozenset(tree.union(*got))
         key = (sum(w2[e] for e in cand), tuple(sorted(cand)))
-        if key < best and _survives(g2, cand, set(t2)):
+        if key < best and oracle_feasible(g2, cand, t2, ProblemKind.KFST):
             best = key
             stats.updates.append((index, key[0]))
-    if best[1] == tuple(sorted(full)) and not _survives(g2, full, set(t2)):
+    if not best[1]:
         raise Infeasible("no feasible candidate")
     return frozenset(best[1]) - {eid for _, eid in mod.pendant_map.values()}
 

@@ -194,17 +194,16 @@ def reference_scan(g, terms, weights, subset_bound, stats):
     most ``subset_bound`` nodes, every ordered partition of T union S and
     every ordered anchor pair, pruned only where a subcall fails or the
     partial union already outweighs the incumbent, with those subtrees
-    counted by their closed-form size. Its register keeps the plain rule,
-    the minimum (weight, sorted edge-id tuple), where the solver compares
-    ``twonc._perturbed`` sums."""
+    counted by their closed-form size. Its register starts empty and keeps
+    the plain rule, the minimum (weight, sorted edge-id tuple), where the
+    solver compares ``twonc._perturbed`` sums."""
     k = len(terms)
     calls = twonc._Subcalls(g, weights, stats)
-    full = frozenset(g.edge_ids())
 
     def weigh(edges):
         return sum(calls.w[e] for e in edges)
 
-    best = (weigh(full), tuple(sorted(full)))
+    best = (math.inf, ())  # empty: every candidate holds a cycle
     term_set = set(terms)
 
     def feasible(edges):
@@ -242,10 +241,9 @@ def reference_scan(g, terms, weights, subset_bound, stats):
                 stats.iterations += points(0)
             else:
                 walk(0, cyc[1], weigh(cyc[1]))
-    final = frozenset(best[1])
-    if final == full and not feasible(full):
+    if not best[1]:
         raise Infeasible("no feasible candidate")
-    return best[0], final
+    return best[0], frozenset(best[1])
 
 
 # graph sizes per (k, wide), with two seeds on the smallest; a wide case
