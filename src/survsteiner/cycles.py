@@ -9,7 +9,8 @@ admissible distance bound on the rest of the walk (whole-graph shortest
 paths to each missing terminal and on to the closing node) exceeds the
 incumbent, and when the remaining terminals or the closing node can no
 longer be reached. The engine is deterministic, has error probability
-zero, and returns the lexicographically smallest edge set among optima.
+zero, and ranks closings by their ``_perturbed`` sum, so it returns the
+lexicographically smallest edge set among optima.
 An existence mode stops at the first closing walk; the threshold scan of
 the scaling gadget asks it whether a prefix holds a cycle. Edge weights
 (positive integers, default one) let it answer subdivided-cost questions
@@ -29,6 +30,18 @@ from .errors import NoCycle, NoPath, TerminalMissing
 from .graph import Graph
 from .solution import Solution
 
+_Record = tuple[int, frozenset[int], int]  # perturbed sum, edge ids, node bitmask
+
+
+def _perturbed(w: list[int]) -> list[int]:
+    """``w[e] * 2^m - 2^(m-1-e)`` per edge, for integer weights w >= 1.
+    A set of weight W sums to W * 2^m minus its own bitmask (edge 0 high),
+    so the least sum has the least weight and then the lexicographically
+    smallest edge ids: at equal weight no set is a prefix of another. A sum
+    s has plain weight ``-(-s >> m)``."""
+    m = len(w)
+    return [(x << m) - (1 << (m - 1 - e)) for e, x in enumerate(w)]
+
 
 def _check_terminals(g: Graph, terms: list[int]) -> None:
     if not terms:
@@ -41,18 +54,18 @@ def _check_terminals(g: Graph, terms: list[int]) -> None:
 class SearchPrep:
     """Per-(graph, weights) tables of the search kernel.
 
-    ``adj[v]`` lists ``(edge id, other end, weight)`` in incidence order
-    (edge-id order) and ``nbr[v]`` is the bitmask of v's neighbours.
-    Build it once per graph and weight vector and pass it to every
-    search on them; ``weights`` maps edge id to a positive integer,
-    default 1, and ``edges``, if given, keeps only those edge ids.
+    ``adj[v]`` lists ``(edge id, other end, w[eid], p[eid])`` in edge-id
+    order, ``p`` being ``_perturbed(w)``, and ``nbr[v]`` is the bitmask
+    of v's neighbours. Build it once per graph and weight vector and pass
+    it to every search on them; ``weights`` maps edge id to a positive
+    integer, default 1, and ``edges``, if given, keeps only those edge ids.
     ``row(src)`` is the shortest-path distance from ``src`` to
     every node under those weights (``math.inf`` where unreachable); a row
     is built the first time a search asks for it and kept, so searches
     sharing the prep share its rows.
     """
 
-    __slots__ = ("w", "adj", "nbr", "rows")
+    __slots__ = ("w", "p", "adj", "nbr", "rows")
 
     def __init__(
         self,
@@ -64,10 +77,11 @@ class SearchPrep:
         if weights:
             for eid, val in weights.items():
                 self.w[eid] = val
+        self.p = _perturbed(self.w)
         keep = None if edges is None else set(edges)
         self.adj = [
             tuple(
-                (eid, g.edges[eid].other(v), self.w[eid])
+                (eid, g.edges[eid].other(v), self.w[eid], self.p[eid])
                 for eid in g.incident(v)
                 if keep is None or eid in keep
             )
@@ -75,7 +89,7 @@ class SearchPrep:
         ]
         self.nbr = [0] * g.n
         for v, row in enumerate(self.adj):
-            for _, y, _ in row:
+            for _, y, _, _ in row:
                 self.nbr[v] |= 1 << y
         self.rows: dict[int, list] = {}
 
@@ -95,7 +109,7 @@ def _distance_row(prep: SearchPrep, src: int) -> list:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for _, y, wt in prep.adj[v]:
+        for _, y, wt, _ in prep.adj[v]:
             if d + wt < dist[y]:
                 dist[y] = d + wt
                 heapq.heappush(heap, (d + wt, y))
@@ -113,8 +127,8 @@ def _search(
     need: int,
     min_nodes: int,
     exists: bool = False,
-) -> tuple[int, tuple[int, ...]] | None:
-    """The one search kernel: the minimum (weight, sorted edge ids) over
+) -> _Record | None:
+    """The one search kernel: the record of the least perturbed sum over
     simple walks from ``start`` that pass every node of the bitmask
     ``need`` and close on an edge into ``end``; None if there is none.
     ``start == end`` asks for a cycle of at least ``min_nodes`` nodes,
@@ -123,19 +137,21 @@ def _search(
     are bitmasks. With ``exists`` set the search stops at the first
     closing walk and returns it, minimal or not.
 
-    When the walk steps to y with weight ``acc``, the branch is pruned if
-    ``acc`` plus a lower bound on the rest exceeds the incumbent
-    (strictly, so ties reach the lexicographic comparison). The bound is
-    the largest of: one per still-missing node plus one for closing;
-    d(y, end); and d(y, t) + d(t, end) over missing t, where d is the
-    whole-graph distance under the weights (``SearchPrep.row``). The rest
-    of the walk is a path through unvisited nodes that visits every
-    missing t and ends at ``end`` with at least missing + 1 edges of
-    weight >= 1, so no term exceeds its weight: the bound is admissible
-    and every search returns what an unpruned one would. The rows are
-    read only once an incumbent exists, so an existence search builds
-    none. A branch that survives is still pruned when the missing nodes
-    or the closing edge can no longer be reached through unvisited nodes.
+    The walk carries its weight ``acc`` and its ``_perturbed`` sum ``accp``.
+    A closing within the record's weight ``bound`` replaces the record if
+    its sum is smaller. When the walk steps to y, the branch is pruned if
+    ``acc`` plus a lower bound on the rest exceeds ``bound`` (strictly, so
+    ties reach the sum comparison). The bound is the largest of: one per
+    still-missing node plus one for closing; d(y, end); and d(y, t) +
+    d(t, end) over missing t, where d is the whole-graph distance under
+    the weights (``SearchPrep.row``). The rest of the walk is a path
+    through unvisited nodes that visits every missing t and ends at
+    ``end`` with at least missing + 1 edges of weight >= 1, so no term
+    exceeds its weight: the bound is admissible and every search returns
+    what an unpruned one would. The rows are read only once an incumbent
+    exists, so an existence search builds none. A branch that survives is
+    still pruned when the missing nodes or the closing edge can no longer
+    be reached through unvisited nodes.
     """
     adj, nbr = prep.adj, prep.nbr
     closing = nbr[end]
@@ -157,19 +173,17 @@ def _search(
             frontier |= new
         return bool(reach & closing) and not missing & ~reach
 
-    def dfs(head: int, visited: int, acc: int, first: int) -> None:
+    def dfs(head: int, visited: int, acc: int, accp: int, first: int) -> None:
         nonlocal best, bound, to_end
-        for eid, y, wt in adj[head]:
+        for eid, y, wt, pt in adj[head]:
             if y == end:
                 if cycle and (eid <= first or visited.bit_count() < min_nodes):
                     continue
-                total = acc + wt
-                if total > bound or need & ~visited:
+                if acc + wt > bound or need & ~visited:
                     continue
-                key = tuple(sorted(eids + [eid]))
-                if best is None or (total, key) < best:
-                    best = (total, key)
-                    bound = total
+                if best is None or accp + pt < best[0]:
+                    best = (accp + pt, frozenset(eids + [eid]), visited)
+                    bound = acc + wt
                     if exists:
                         raise _Found
                     if not to_end:
@@ -195,11 +209,11 @@ def _search(
                         continue
                 eids.append(eid)
                 if reachable(seen, y):
-                    dfs(y, seen, acc2, eid if first < 0 else first)
+                    dfs(y, seen, acc2, accp + pt, eid if first < 0 else first)
                 eids.pop()
 
     try:
-        dfs(start, 1 << start | 1 << end, 0, -1)
+        dfs(start, 1 << start | 1 << end, 0, 0, -1)
     except _Found:
         pass
     return best
@@ -212,16 +226,17 @@ def search_min_cycle(
     min_nodes: int = 2,
     *,
     prep: SearchPrep | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive core: (total weight, sorted edge ids).
+) -> _Record:
+    """Exhaustive core: the kernel's record (perturbed sum, edge ids, node
+    mask); its plain weight is ``-(-sum >> g.m)``.
 
     Enumerates every simple cycle through the smallest terminal once
     (direction canonicalised by requiring the closing edge id to exceed
-    the opening edge id) and keeps the minimum by (weight, edge-id tuple).
-    ``weights`` maps edge id to a positive integer, default 1; ``prep``,
-    if given, is the shared ``SearchPrep`` of ``g`` and those weights and
-    replaces them. Cycles with fewer than ``min_nodes`` nodes are
-    rejected. Raises NoCycle.
+    the opening edge id) and keeps the least perturbed sum: the least
+    weight, then the smallest edge-id set. ``weights`` maps edge id to a
+    positive integer, default 1; ``prep``, if given, is the shared
+    ``SearchPrep`` of ``g`` and those weights and replaces them. Cycles
+    with fewer than ``min_nodes`` nodes are rejected. Raises NoCycle.
     """
     terms = sorted(set(terminals))
     _check_terminals(g, terms)
@@ -280,7 +295,7 @@ def min_steiner_cycle(g: Graph, terminals: Iterable[int]) -> Solution:
     """Minimum-size simple cycle through all terminals: always a true
     optimum. Raises NoCycle when no simple cycle spans the terminals.
     """
-    edges = frozenset(search_min_cycle(g, terminals)[1])
+    edges = search_min_cycle(g, terminals)[1]
     return Solution(edges=edges, cost=g.total_cost(edges))
 
 
@@ -292,8 +307,9 @@ def search_min_path(
     weights: dict[int, int] | None = None,
     *,
     prep: SearchPrep | None = None,
-) -> tuple[int, tuple[int, ...]]:
-    """Weighted core of the path solver: (total weight, sorted edge ids).
+) -> _Record:
+    """Weighted core of the path solver: the kernel's record, as in
+    ``search_min_cycle``.
 
     Runs the cycle kernel in its s-t mode on ``g`` itself: the walk
     starts at s and closes on reaching t, so ties break to the
@@ -318,5 +334,5 @@ def min_steiner_path(
     t: int,
 ) -> Solution:
     """Minimum-size simple s,t-path through all terminals; raises NoPath."""
-    edges = frozenset(search_min_path(g, terminals, s, t)[1])
+    edges = search_min_path(g, terminals, s, t)[1]
     return Solution(edges=edges, cost=g.total_cost(edges))

@@ -32,7 +32,7 @@ reported as Infeasible.
 
 One Floyd-Warshall table of those paths serves a whole request: the
 join reads each set-to-set link from it as a minimum over node pairs.
-Table and unions are weighed with the pendant graph's ``twonc._perturbed``
+Table and unions are weighed with the pendant graph's ``cycles._perturbed``
 weights, so the minimum union is unique, the lexicographically smallest
 optimum (pendant edges, last by id, lie in every union). Families run in
 order of a bound, ceil(MST / 2^M) for M edges plus max(3, |p|) per
@@ -51,6 +51,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cycles import _perturbed
 from .errors import (
     AlreadyModified,
     Infeasible,
@@ -61,7 +62,7 @@ from .errors import (
 from .graph import Graph, _augment
 from .scaling import prefix_feasible, solve_scaled
 from .solution import ProblemKind, Solution, SolveStats, run_stats
-from .twonc import _Incumbent, _perturbed, _Subcalls
+from .twonc import _Incumbent, _Subcalls
 
 
 @dataclass
@@ -129,7 +130,7 @@ def _two_disjoint_paths(
     capacities start afresh here. All weights are >= 1, so a minimum
     cost flow never sends a unit both ways along one edge and the two
     units decompose into genuinely edge-disjoint paths: under
-    ``twonc._perturbed`` weights, the unique minimum pair. An end of degree
+    ``cycles._perturbed`` weights, the unique minimum pair. An end of degree
     below 2 (every pendant node) has no such pair; each incident edge
     lists two arcs at its node.
     """
@@ -253,7 +254,7 @@ def build_protected_table(
 def min_protected_path(g: Graph, u: int, v: int) -> Solution:
     """Minimum-size edge set connecting u and v through any single
     unsafe-edge failure, the lexicographically smallest (its table runs on
-    ``twonc._perturbed`` unit weights); u = v yields the empty set."""
+    ``cycles._perturbed`` unit weights); u = v yields the empty set."""
     for node in (u, v):
         if not 0 <= node < g.n:
             raise ValueError(f"node {node} outside the node range")
@@ -365,7 +366,7 @@ def _kfst_core(
     if not prefix_feasible(g2, t2, ProblemKind.KFST, list(g2.edge_ids())):
         raise Infeasible("no subgraph connects the terminals through every failure")
     calls = _Subcalls(inst.graph, weights, stats)
-    w2 = _perturbed(calls.w + [1] * k)  # pendant edges weigh one unit each
+    w2 = _perturbed(calls.prep.w + [1] * k)  # pendant edges weigh one unit each
     table = build_protected_table(g2, w2)
     pairs = sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :])
     stats.count("protected_pairs", pairs)

@@ -9,9 +9,9 @@ this space is built. Every configuration assembles a candidate subgraph:
 a minimum Steiner cycle through the first part (three nodes or more,
 since the target subgraph needs them) unioned with a minimum Steiner path
 per later part between its anchors. The register (``_Incumbent``) keeps
-the smallest ``_perturbed`` sum: the smallest weight, ties broken to the
-lexicographically smallest edge-id set. So the answer does not depend on
-the scan order, but the recorded updates do.
+the smallest ``cycles._perturbed`` sum, as the kernel does: the smallest
+weight, ties broken to the lexicographically smallest edge-id set. So the
+answer does not depend on the scan order, but the recorded updates do.
 
 Lemma 0: every candidate is feasible (Whitney's ear theorem, 1932). The
 first part's cycle has at least 3 nodes (``min_nodes=3``). Each later
@@ -45,10 +45,10 @@ ground covers the ground, and by lemma 0 every one is 2-node-connected on
 2. Later parts. A feasible union has at least as many edges as nodes, so
    its weight is at least |ground|, and at exactly |ground| it is a simple
    cycle on exactly the ground. The one-part partition, which comes first,
-   has offered the minimum such cycle by (weight, edge-id tuple), as the
-   kernel breaks ties that way. So once ``|ground| + 1 > incumbent``, no
-   partition with two or more parts can update; partitions come in
-   increasing part count, so the rest of the ground is counted in bulk.
+   has offered the ground's cycle of least perturbed sum, the kernel's
+   record. So once ``|ground| + 1 > incumbent``, no partition with two or
+   more parts can update; partitions come in increasing part count, so
+   the rest of the ground is counted in bulk.
 3. Grounds. By the same count, a ground with ``|ground| > incumbent`` is
    skipped whole.
 
@@ -75,7 +75,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cycles import SearchPrep, search_min_cycle, search_min_path
+from .cycles import SearchPrep, _Record, search_min_cycle, search_min_path
 from .enumeration import count_anchor_vectors, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath
 from .graph import Graph
@@ -84,22 +84,12 @@ from .solution import ProblemKind, Solution, SolveStats, run_stats
 
 
 _MISS = object()
-_Result = tuple[int, frozenset[int], int]  # perturbed sum, edge ids, node bitmask
-
-
-def _perturbed(w: list[int]) -> list[int]:
-    """``w[e] * 2^m - 2^(m-1-e)`` per edge, for integer weights w >= 1.
-    A set of weight W sums to W * 2^m minus its own bitmask (edge 0 high),
-    so the least sum has the least weight and then the lexicographically
-    smallest edge ids: at equal weight no set is a prefix of another. A sum
-    s has plain weight ``-(-s >> m)``."""
-    m = len(w)
-    return [(x << m) - (1 << (m - 1 - e)) for e, x in enumerate(w)]
 
 
 class _Incumbent:
-    """Register of the least ``_perturbed`` sum over ``shift`` edges and its
-    plain ``weight``; empty (no edges, both infinite) until the first offer."""
+    """Register of the least ``cycles._perturbed`` sum over ``shift`` edges
+    and its plain ``weight``; empty (no edges, both infinite) until the
+    first offer."""
 
     def __init__(self, shift: int):
         self.shift = shift
@@ -117,8 +107,9 @@ class _Incumbent:
 class _Subcalls:
     """Memoized subcalls over one graph and weight vector: cycles, paths
     and part containers; all of them share one ``SearchPrep`` of the
-    search kernel's tables; ``p`` holds the ``_perturbed`` weights. A cycle
-    or path result is ``(perturbed sum, edges, node mask)``, or None."""
+    search kernel's tables, perturbed weights included. A cycle or path
+    result is the kernel's record ``(perturbed sum, edges, node mask)``,
+    kept as it comes, or None."""
 
     def __init__(
         self,
@@ -128,43 +119,33 @@ class _Subcalls:
     ):
         self.g = g
         self.prep = SearchPrep(g, weights)
-        self.w = self.prep.w
-        self.p = _perturbed(self.w)
         self.stats = stats
-        self.cycles: dict[frozenset[int], _Result | None] = {}
-        self.paths: dict[tuple[frozenset[int], int, int], _Result | None] = {}
+        self.cycles: dict[frozenset[int], _Record | None] = {}
+        self.paths: dict[tuple[frozenset[int], int, int], _Record | None] = {}
         self.containers: dict[frozenset[int], frozenset[int] | None] = {}
 
-    def _result(self, found: tuple[int, tuple[int, ...]]) -> _Result:
-        total = mask = 0  # the kernel's minimum is the perturbed one
-        for eid in found[1]:
-            edge = self.g.edges[eid]
-            mask |= 1 << edge.u | 1 << edge.v
-            total += self.p[eid]
-        return total, frozenset(found[1]), mask
-
-    def cycle(self, part: frozenset[int]) -> _Result | None:
+    def cycle(self, part: frozenset[int]) -> _Record | None:
         hit = self.cycles.get(part, _MISS)
         if hit is not _MISS:
             return hit
-        result: _Result | None
+        result: _Record | None
         try:
             # the target subgraph needs >= 3 nodes (lemma 0)
-            result = self._result(search_min_cycle(self.g, part, min_nodes=3, prep=self.prep))
+            result = search_min_cycle(self.g, part, min_nodes=3, prep=self.prep)
         except NoCycle:
             result = None
         self.stats.count("cycle_calls")
         self.cycles[part] = result
         return result
 
-    def path(self, part: frozenset[int], s: int, t: int) -> _Result | None:
+    def path(self, part: frozenset[int], s: int, t: int) -> _Record | None:
         key = (part, s, t)
         hit = self.paths.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        result: _Result | None
+        result: _Record | None
         try:
-            result = self._result(search_min_path(self.g, part, s, t, prep=self.prep))
+            result = search_min_path(self.g, part, s, t, prep=self.prep)
         except NoPath:
             result = None
         self.stats.count("path_calls")
@@ -213,7 +194,7 @@ def _solve_core(
     if not prefix_feasible(g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())):
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
-    p, shift = calls.p, g.m
+    p, shift = calls.prep.p, g.m
     incumbent = _Incumbent(shift)
     term_set = set(terms)
     bound = max(2 * k - 4, 0)

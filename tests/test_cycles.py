@@ -73,6 +73,40 @@ def brute_force_shapes(g, weights):
     return shapes
 
 
+def cycle_optimum(shapes, terms, min_nodes):
+    """The brute-force minimum (weight, sorted edge tuple) of a cycle of at
+    least ``min_nodes`` nodes through ``terms``, or None."""
+    return min(
+        (
+            key
+            for key, deg in shapes
+            if len(deg) >= min_nodes
+            and set(terms) <= deg.keys()
+            and min(deg.values()) == 2
+        ),
+        default=None,
+    )
+
+
+def path_optimum(shapes, s, t, terms):
+    """The brute-force minimum (weight, sorted edge tuple) of an s-t path
+    through ``terms``, or None."""
+    return min(
+        (
+            key
+            for key, deg in shapes
+            if deg.get(s) == 1 and deg.get(t) == 1 and set(terms) <= deg.keys()
+        ),
+        default=None,
+    )
+
+
+def decode(record, m):
+    """The kernel's record (perturbed sum, edge ids, node mask) as
+    (plain weight, sorted edge tuple); None stays None."""
+    return record and (-(-record[0] >> m), tuple(sorted(record[1])))
+
+
 def assert_simple_cycle(g, edges, terminals):
     nodes = subgraph_nodes(g, edges)
     assert set(terminals) <= nodes
@@ -129,21 +163,12 @@ class TestMinSteinerCycle:
         min_nodes = 2 + seed % 2
         for r in (1, 2, 3):
             for wterms in itertools.combinations(range(wg.n), r):
-                expect = min(
-                    (
-                        key
-                        for key, deg in shapes
-                        if len(deg) >= min_nodes
-                        and set(wterms) <= deg.keys()
-                        and min(deg.values()) == 2
-                    ),
-                    default=None,
-                )
+                expect = cycle_optimum(shapes, wterms, min_nodes)
                 try:
                     got = search_min_cycle(wg, wterms, weights, min_nodes=min_nodes)
                 except NoCycle:
                     got = None
-                assert (got and got[:2]) == expect, (wterms, min_nodes)
+                assert decode(got, wg.m) == expect, (wterms, min_nodes)
 
     def test_lexicographic_tie_break(self):
         # two triangles hanging off terminals 0,1: ids {0,1,2} vs {0,3,4}
@@ -218,21 +243,12 @@ class TestMinSteinerPath:
         extra = rng.sample(range(wg.n), 2)
         for s, t in itertools.permutations(range(wg.n), 2):
             for wterms in ((), (extra[0],), tuple(extra)):
-                expect = min(
-                    (
-                        key
-                        for key, deg in shapes
-                        if deg.get(s) == 1
-                        and deg.get(t) == 1
-                        and set(wterms) <= deg.keys()
-                    ),
-                    default=None,
-                )
+                expect = path_optimum(shapes, s, t, wterms)
                 try:
                     got = search_min_path(wg, wterms, s, t, weights)
                 except NoPath:
                     got = None
-                assert got == expect, (s, t, wterms)
+                assert decode(got, wg.m) == expect, (s, t, wterms)
                 # a t-s path is an s-t path reversed: the 2NCS scan skips
                 # mirrored anchor pairs on the strength of this
                 try:
@@ -240,6 +256,49 @@ class TestMinSteinerPath:
                 except NoPath:
                     mirror = None
                 assert mirror == got, (s, t, wterms)
+
+
+class TestKernelRecord:
+    """The kernel returns the record it kept while walking: the perturbed
+    sum of its edges, the edge ids, and the mask of their end nodes. Every
+    cycle and s-t query of the tests above, on one shared ``SearchPrep``.
+    Checked against recording ``accp`` without the closing edge (the sum
+    differs) and against ``>=`` for ``>`` at the closing's plain check
+    (ties no longer reach the sum comparison). ``<=`` for ``<`` at the sum
+    comparison is an equivalent mutant: each edge set closes once, and
+    distinct sets never share a perturbed sum."""
+
+    @staticmethod
+    def assert_record(g, prep, record, expect):
+        assert decode(record, g.m) == expect
+        if record is not None:
+            total, edges, mask = record
+            assert total == sum(prep.p[e] for e in edges)
+            assert mask == bit({v for e in edges for v in (g.edge(e).u, g.edge(e).v)})
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_record_is_the_tie_broken_minimum(self, seed):
+        rng = random.Random(8000 + seed)
+        g, weights = weighted_multigraph(rng)
+        shapes = brute_force_shapes(g, weights)
+        prep = SearchPrep(g, weights)
+        for min_nodes in (2, 3):
+            for r in (1, 2, 3):
+                for terms in itertools.combinations(range(g.n), r):
+                    try:
+                        got = search_min_cycle(g, terms, min_nodes=min_nodes, prep=prep)
+                    except NoCycle:
+                        got = None
+                    expect = cycle_optimum(shapes, terms, min_nodes)
+                    self.assert_record(g, prep, got, expect)
+        extra = rng.sample(range(g.n), 2)
+        for s, t in itertools.permutations(range(g.n), 2):
+            for terms in ((), (extra[0],), tuple(extra)):
+                try:
+                    got = search_min_path(g, terms, s, t, prep=prep)
+                except NoPath:
+                    got = None
+                self.assert_record(g, prep, got, path_optimum(shapes, s, t, terms))
 
 
 def chorded_multigraph(rng, unit):
@@ -352,7 +411,7 @@ class TestReachabilityPrune:
     def test_minimum_search_skips_the_dead_branch(self):
         g = dead_branch(8)
         calls = dfs_calls(lambda: search_min_cycle(g, [0, 1, 2]))
-        assert search_min_cycle(g, [0, 1, 2]) == (3, (g.m - 3, g.m - 2, g.m - 1))
+        assert decode(search_min_cycle(g, [0, 1, 2]), g.m) == (3, (g.m - 3, g.m - 2, g.m - 1))
         assert calls <= 10
 
     def test_existence_search_skips_the_dead_branch(self):

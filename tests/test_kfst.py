@@ -30,7 +30,7 @@ from survsteiner import (
     solve_kfst_weighted,
     strip_pendant_gadget,
 )
-from survsteiner import kfst, twonc
+from survsteiner import cycles, kfst, twonc
 from survsteiner.instance_io import read_instance
 
 
@@ -484,7 +484,7 @@ class TestFourTerminals:
 
 def reference_kfst_scan(inst, weights, stats, floor=True):
     """The k-FST family scan: families joined on the protected table of the
-    pendant graph's ``twonc._perturbed`` weights, sorted by (bound, index),
+    pendant graph's ``cycles._perturbed`` weights, sorted by (bound, index),
     and ``oracle_feasible`` on every would-be update. Its register starts
     empty and keeps the plain rule, the minimum (weight, sorted edge-id
     tuple). With ``floor`` the scan stops at the first bound above the
@@ -497,7 +497,7 @@ def reference_kfst_scan(inst, weights, stats, floor=True):
     mod = apply_pendant_gadget(inst)
     g2, t2 = mod.graph, sorted(mod.terminals)
     w2 = [(weights or {}).get(e, 1) for e in range(g0.m)] + [1] * k
-    table = build_protected_table(g2, twonc._perturbed(w2))
+    table = build_protected_table(g2, cycles._perturbed(w2))
     best = (math.inf, ())  # empty: every candidate holds the pendant edges
     calls = twonc._Subcalls(g0, weights, stats)
 
@@ -617,7 +617,7 @@ def two_terminal_answers(seed):
     out = []
     for graph, w, solve in cases:
         w2 = [(w or {}).get(e, 1) for e in graph.edge_ids()]
-        table = build_protected_table(graph, twonc._perturbed(w2))
+        table = build_protected_table(graph, cycles._perturbed(w2))
         try:
             got = solve()
         except Infeasible:

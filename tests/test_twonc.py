@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from survsteiner import (
+    FstInstance,
     Graph,
     Infeasible,
     ProblemKind,
@@ -17,6 +18,7 @@ from survsteiner import (
     oracle_min_subgraph,
     solve_2ncs_unweighted,
     solve_2ncs_weighted,
+    solve_kfst_unweighted,
     subgraph_nodes,
 )
 from survsteiner import twonc
@@ -196,12 +198,12 @@ def reference_scan(g, terms, weights, subset_bound, stats):
     partial union already outweighs the incumbent, with those subtrees
     counted by their closed-form size. Its register starts empty and keeps
     the plain rule, the minimum (weight, sorted edge-id tuple), where the
-    solver compares ``twonc._perturbed`` sums."""
+    solver compares ``cycles._perturbed`` sums."""
     k = len(terms)
     calls = twonc._Subcalls(g, weights, stats)
 
     def weigh(edges):
-        return sum(calls.w[e] for e in edges)
+        return sum(calls.prep.w[e] for e in edges)
 
     best = (math.inf, ())  # empty: every candidate holds a cycle
     term_set = set(terms)
@@ -404,3 +406,50 @@ class TestScanSkips:
             count_anchor_vectors(size, 3) * grounds
             for size, grounds in ((3, 7), (4, 8), (5, 1))
         )
+
+
+class TestTracedKernelCalls:
+    """``perfbench/spans.py`` times the kernel by wrapping
+    ``search_min_cycle`` and ``search_min_path`` in every module that holds
+    them. Each memoized subcall must reach the kernel through those names,
+    or its time would count as ``twonc``'s: wrappers patched onto the names
+    in ``twonc`` see exactly ``cycle_calls`` and ``path_calls`` calls.
+    Checked against ``_Subcalls.path`` calling ``cycles._search`` itself."""
+
+    @staticmethod
+    def counted(monkeypatch, solve):
+        seen = {"cycle_calls": 0, "path_calls": 0}
+        names = (("search_min_cycle", "cycle_calls"), ("search_min_path", "path_calls"))
+        for name, count in names:
+            def wrapper(*args, _inner=getattr(twonc, name), _count=count, **kwargs):
+                seen[_count] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(twonc, name, wrapper)
+        stats = SolveStats()
+        solve(stats)
+        assert seen["path_calls"] > 0
+        return seen, {name: stats.subcalls[name] for name in seen}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_2ncs(self, seed, monkeypatch):
+        rng = random.Random(9000 + seed)
+        g = ring_chords(rng, 7, 12)
+        terms = sorted(rng.sample(range(g.n), 3))
+        seen, counted = self.counted(
+            monkeypatch, lambda stats: solve_2ncs_unweighted(g, terms, stats=stats)
+        )
+        assert seen == counted
+
+    def test_kfst_with_four_terminals(self, monkeypatch):
+        # every other edge unsafe; k-FST makes path calls only in the 2NCS
+        # scans that price its parts of four or more nodes
+        rng = random.Random(0)
+        ring = ring_chords(rng, 6, 10)
+        terms = frozenset(rng.sample(range(ring.n), 4))
+        g = Graph.build(ring.n, [(e.u, e.v, 1, e.id % 2 == 0) for e in ring.edges])
+        seen, counted = self.counted(
+            monkeypatch,
+            lambda stats: solve_kfst_unweighted(FstInstance(g, terms), stats=stats),
+        )
+        assert seen == counted
