@@ -148,7 +148,7 @@ def _dispatch(
     seed = args.seed
     if kind is ProblemKind.CYCLE:
         if epsilon is None:
-            return min_steiner_cycle(g, sorted(terminals))
+            return min_steiner_cycle(g, sorted(terminals), stats)
         return weighted_steiner_cycle(
             g, sorted(terminals), epsilon, eta, seed, stats=stats
         )

@@ -17,7 +17,9 @@ the scaling gadget asks it whether a prefix holds a cycle. Edge weights
 without materialising subdivision paths. The per-(graph, weights) tables
 (``SearchPrep``), distance rows included, are built once and shared by
 every search on that graph, e.g. by the 2NCS subcall memo. Every search
-runs on the calling thread.
+runs on the calling thread. The solvers search the series reduction of
+their graph (``graph.reduce_series``, through ``_reduced``) and map the
+answer back chain by chain.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import math
 from collections.abc import Iterable
 
 from .errors import NoCycle, NoPath, TerminalMissing
-from .graph import Graph
-from .solution import Solution
+from .graph import Graph, reduce_series
+from .solution import Solution, SolveStats
 
 _Record = tuple[int, frozenset[int], int]  # perturbed sum, edge ids, node bitmask
 
@@ -43,6 +45,34 @@ def _perturbed(w: list[int]) -> list[int]:
     return [(x << m) - (1 << (m - 1 - e)) for e, x in enumerate(w)]
 
 
+def _weight_list(g: Graph, weights) -> list[int]:
+    """Each edge's weight: ``weights[eid]`` for every edge id (a list or a
+    mapping), or 1 throughout when ``weights`` is empty or None."""
+    return [weights[e] for e in g.edge_ids()] if weights else [1] * g.m
+
+
+def _reduced(g: Graph, terms: list[int], w: list[int], p: list[int], stats: SolveStats):
+    """``reduce_series`` of g under the weights w, for a solver whose edge
+    sums ``p`` (``_perturbed`` weights, over g's edge ids first) break its
+    ties: the reduced graph, its plain weights, each reduced edge's sum of
+    ``p`` over its chain (so every reduced edge set sums exactly what its
+    expansion does), the terminals renumbered, and the map from a reduced
+    edge set back to g's edge ids. Counts the Steiner nodes deleted and
+    contracted and the edges folded into chains in ``stats``."""
+    h, hw, origin, kept = reduce_series(g, terms, w)
+    index = {v: i for i, v in enumerate(kept)}
+    chains = [ids for ids in origin if len(ids) > 1]
+    contracted = sum(len(ids) - 1 for ids in chains)
+    stats.count("series_deleted", g.n - h.n - contracted)
+    stats.count("series_contracted", contracted)
+    stats.count("series_folded", contracted + len(chains))
+    hp = [sum(p[e] for e in ids) for ids in origin]
+    return (
+        h, hw, hp, [index[t] for t in terms],
+        lambda edges: frozenset(e for r in edges for e in origin[r]),
+    )
+
+
 def _check_terminals(g: Graph, terms: list[int]) -> None:
     if not terms:
         raise TerminalMissing("at least one terminal is required")
@@ -55,10 +85,13 @@ class SearchPrep:
     """Per-(graph, weights) tables of the search kernel.
 
     ``adj[v]`` lists ``(edge id, other end, w[eid], p[eid])`` in edge-id
-    order, ``p`` being ``_perturbed(w)``, and ``nbr[v]`` is the bitmask
-    of v's neighbours. Build it once per graph and weight vector and pass
-    it to every search on them; ``weights`` maps edge id to a positive
-    integer, default 1, and ``edges``, if given, keeps only those edge ids.
+    order and ``nbr[v]`` is the bitmask of v's neighbours. Build it once
+    per graph and weight vector and pass it to every search on them;
+    ``weights`` gives each edge id a positive integer (``_weight_list``),
+    ``p`` the sums that rank closings, which the caller builds
+    (``_perturbed(w)`` or chain sums of it; the plain weights when None,
+    as an existence search needs no ranking), and ``edges``, if given,
+    keeps only those edge ids.
     ``row(src)`` is the shortest-path distance from ``src`` to
     every node under those weights (``math.inf`` where unreachable); a row
     is built the first time a search asks for it and kept, so searches
@@ -70,14 +103,12 @@ class SearchPrep:
     def __init__(
         self,
         g: Graph,
-        weights: dict[int, int] | None = None,
+        weights=None,
+        p: list[int] | None = None,
         edges: Iterable[int] | None = None,
     ):
-        self.w = [1] * g.m
-        if weights:
-            for eid, val in weights.items():
-                self.w[eid] = val
-        self.p = _perturbed(self.w)
+        self.w = _weight_list(g, weights)
+        self.p = self.w if p is None else p
         keep = None if edges is None else set(edges)
         self.adj = [
             tuple(
@@ -219,6 +250,12 @@ def _search(
     return best
 
 
+def _own_prep(g: Graph, weights) -> SearchPrep:
+    """The prep of a search given none: ``_perturbed`` weights over g."""
+    w = _weight_list(g, weights)
+    return SearchPrep(g, w, _perturbed(w))
+
+
 def search_min_cycle(
     g: Graph,
     terminals: Iterable[int],
@@ -228,19 +265,20 @@ def search_min_cycle(
     prep: SearchPrep | None = None,
 ) -> _Record:
     """Exhaustive core: the kernel's record (perturbed sum, edge ids, node
-    mask); its plain weight is ``-(-sum >> g.m)``.
+    mask); its plain weight is ``-(-sum >> g.m)`` when the search builds
+    its own ``SearchPrep``.
 
     Enumerates every simple cycle through the smallest terminal once
     (direction canonicalised by requiring the closing edge id to exceed
     the opening edge id) and keeps the least perturbed sum: the least
-    weight, then the smallest edge-id set. ``weights`` maps edge id to a
-    positive integer, default 1; ``prep``, if given, is the shared
+    weight, then the smallest edge-id set. ``weights`` gives each edge id
+    a positive integer, default 1; ``prep``, if given, is the shared
     ``SearchPrep`` of ``g`` and those weights and replaces them. Cycles
     with fewer than ``min_nodes`` nodes are rejected. Raises NoCycle.
     """
     terms = sorted(set(terminals))
     _check_terminals(g, terms)
-    prep = prep or SearchPrep(g, weights)
+    prep = prep or _own_prep(g, weights)
     best = _search(prep, terms[0], terms[0], sum(1 << v for v in terms), min_nodes)
     if best is None:
         raise NoCycle("no simple cycle contains all the terminals")
@@ -291,11 +329,27 @@ def cycle_node_order(g: Graph, edges: Iterable[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def min_steiner_cycle(g: Graph, terminals: Iterable[int]) -> Solution:
-    """Minimum-size simple cycle through all terminals: always a true
-    optimum. Raises NoCycle when no simple cycle spans the terminals.
+def min_steiner_cycle(
+    g: Graph,
+    terminals: Iterable[int],
+    stats: SolveStats | None = None,
+    weights=None,
+) -> Solution:
+    """Minimum-weight simple cycle through all terminals (``weights`` as in
+    ``search_min_cycle``, default 1: minimum size), the least
+    ``_perturbed`` one: always a true optimum. Raises NoCycle when no
+    simple cycle spans the terminals.
+
+    It searches g's series reduction (``_reduced``), since a simple cycle
+    passes a Steiner node of degree 2 with both of its edges or not at
+    all, and no Steiner node of degree <= 1. The reduction's counts go to
+    ``stats``, if given.
     """
-    edges = search_min_cycle(g, terminals)[1]
+    terms = sorted(set(terminals))
+    _check_terminals(g, terms)
+    w = _weight_list(g, weights)
+    h, hw, hp, hterms, expand = _reduced(g, terms, w, _perturbed(w), stats or SolveStats())
+    edges = expand(search_min_cycle(h, hterms, prep=SearchPrep(h, hw, hp))[1])
     return Solution(edges=edges, cost=g.total_cost(edges))
 
 
@@ -320,7 +374,7 @@ def search_min_path(
         raise ValueError("path endpoints must be distinct")
     terms = set(terminals)
     _check_terminals(g, sorted(terms | {s, t}))
-    prep = prep or SearchPrep(g, weights)
+    prep = prep or _own_prep(g, weights)
     best = _search(prep, s, t, sum(1 << v for v in terms), 0)
     if best is None:
         raise NoPath(f"no simple {s}-{t} path covers the terminals")

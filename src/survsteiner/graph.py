@@ -305,6 +305,78 @@ def is_2nc(g: Graph, edges: Iterable[int] | None = None) -> bool:
     return not cuts
 
 
+def reduce_series(
+    g: Graph, terminals: Iterable[int], weights: Sequence[int]
+) -> tuple[Graph, list[int], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Series reduction (the degree-2 test of Duin & Volgenant, 1989).
+
+    Repeats to a fixpoint: delete each non-terminal node of degree <= 1
+    with its edge, and contract each non-terminal node of degree 2 into
+    one edge between its neighbours, weighing the sum of its two edges'
+    positive integer ``weights``, costing their sum, and safe only if
+    both are. So a maximal chain of such nodes becomes one edge, except
+    that a contraction whose neighbours coincide or are already adjacent
+    is not made: a chain that closes on its own start keeps one or two
+    interior nodes, and one parallel to another edge keeps one. Two kept nodes are
+    then joined by several edges only if all of them are original ones,
+    so no cycle on two kept nodes stands for a longer one.
+
+    Returns the reduced graph, its weights, each reduced edge's original
+    edge ids, and the original id of each kept node (kept nodes keep their
+    order; a reduced edge has the id rank of its smallest original id).
+    When nothing reduces, the graph returned is ``g`` itself.
+    """
+    keep = set(terminals)
+    if all(v in keep or len(g.incident(v)) > 2 for v in range(g.n)):
+        return g, list(weights), tuple((e,) for e in g.edge_ids()), tuple(range(g.n))
+    ends = {e.id: [e.u, e.v] for e in g.edges}
+    info = {e.id: (weights[e.id], e.cost, e.safe, (e.id,)) for e in g.edges}
+    inc = [set(g.incident(v)) for v in range(g.n)]
+    alive = [True] * g.n
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if not alive[v] or v in keep or len(inc[v]) > 2:
+                continue
+            if len(inc[v]) == 2:
+                e1, e2 = sorted(inc[v])
+                a = ends[e1][ends[e1][0] == v]
+                b = ends[e2][ends[e2][0] == v]
+                if inc[a] & inc[b]:  # a == b, or a and b adjacent
+                    continue
+                w1, c1, s1, ids1 = info[e1]
+                w2, c2, s2, ids2 = info.pop(e2)
+                info[e1] = (w1 + w2, c1 + c2, s1 and s2, ids1 + ids2)
+                ends[e1] = [a, b]
+                del ends[e2]
+                inc[b].discard(e2)
+                inc[b].add(e1)
+            else:
+                for eid in inc[v]:
+                    x = ends.pop(eid)
+                    inc[x[x[0] == v]].discard(eid)
+                    del info[eid]
+            inc[v] = set()
+            alive[v] = False
+            changed = True
+    if all(alive):
+        return g, list(weights), tuple((e,) for e in g.edge_ids()), tuple(range(g.n))
+    kept = tuple(v for v in range(g.n) if alive[v])
+    index = {v: i for i, v in enumerate(kept)}
+    order = sorted(ends)
+    edges = [
+        Edge(i, index[ends[eid][0]], index[ends[eid][1]], info[eid][1], info[eid][2])
+        for i, eid in enumerate(order)
+    ]
+    return (
+        Graph(len(kept), edges),
+        [info[eid][0] for eid in order],
+        tuple(info[eid][3] for eid in order),
+        kept,
+    )
+
+
 def _augment(
     head: list[int],
     cost: list[int],

@@ -43,6 +43,16 @@ containers has >= max(3, |p|) edges and weighs at most the optimum's
 block there, and these pieces are edge-disjoint. So its bound is at most
 the optimum's weight, hence the incumbent's, and its union weighs at most
 the unique minimum (parts of <= 3 nodes aside: ROADMAP K, small-part gap).
+
+The scan runs on the series reduction of the graph (``graph.reduce_series``),
+with the pendants attached after it: a minimal solution has no Steiner
+leaf, so it passes a Steiner node of degree 2 with both edges or neither,
+and a reduced edge is unsafe when any edge of its chain is. The lemma and
+the bound hold there as on any graph: every reduced edge weighs >= 1, so
+a container of |p| >= 3 kept nodes still has >= |p| edges of weight >= 1,
+and no cycle on two kept nodes stands for a longer one, so the
+2-node-connected subgraphs of the reduced graph are exactly the
+contractions of those of the graph.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cycles import _perturbed
+from .cycles import _perturbed, _reduced, _weight_list
 from .errors import (
     AlreadyModified,
     Infeasible,
@@ -352,7 +362,9 @@ def _kfst_core(
     stats: SolveStats | None = None,
 ) -> frozenset[int]:
     """Shared search; returns the edge set in original edge ids (pendant
-    edges already stripped)."""
+    edges already stripped). It runs on the series reduction of the graph
+    and weighs every edge set by the ``_perturbed`` weights of the
+    unreduced pendant graph, over its m + k edge ids."""
     if inst.modified:
         raise AlreadyModified("the solver applies its own pendant gadget")
     stats = stats if stats is not None else SolveStats()
@@ -360,19 +372,23 @@ def _kfst_core(
     k = len(terms)
     if k < 2:
         raise ValueError("the solver needs at least two terminals")
-    mod = apply_pendant_gadget(inst)
+    w = _weight_list(inst.graph, weights)
+    p = _perturbed(w + [1] * k)  # pendant edges weigh one unit each
+    shift = len(p)
+    h, hw, hp, hterms, expand = _reduced(inst.graph, terms, w, p, stats)
+    mod = apply_pendant_gadget(FstInstance(h, frozenset(hterms)))
     g2 = mod.graph
     t2 = sorted(mod.terminals)
     if not prefix_feasible(g2, t2, ProblemKind.KFST, list(g2.edge_ids())):
         raise Infeasible("no subgraph connects the terminals through every failure")
-    calls = _Subcalls(inst.graph, weights, stats)
-    w2 = _perturbed(calls.prep.w + [1] * k)  # pendant edges weigh one unit each
+    calls = _Subcalls(h, hw, stats, hp, shift)
+    w2 = hp + p[inst.graph.m :]
     table = build_protected_table(g2, w2)
     pairs = sum(d is not None for i, row in enumerate(table.dist) for d in row[i + 1 :])
     stats.count("protected_pairs", pairs)
-    incumbent = _Incumbent(g2.m)
+    incumbent = _Incumbent(shift)
 
-    families = list(_part_families(list(range(inst.graph.n)), k))
+    families = list(_part_families(list(range(h.n)), k))
     stats.iterations += len(families)
 
     # the plain MST weight plus max(3, |p|) per multi-node part
@@ -382,7 +398,7 @@ def _kfst_core(
             mst, tree = mst_join(table, parts, t2)
         except InfiniteMst:
             continue
-        bound = -(-mst >> g2.m) + sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
+        bound = -(-mst >> shift) + sum(0 if len(p) == 1 else max(3, len(p)) for p in parts)
         bounded.append((bound, index, parts, tree))
     bounded.sort()  # by (bound, index): indices are distinct
 
@@ -402,7 +418,7 @@ def _kfst_core(
 
     if incumbent.edges is None:
         raise Infeasible("no feasible candidate was assembled")
-    return incumbent.edges - {eid for _, eid in mod.pendant_map.values()}
+    return expand(incumbent.edges - {eid for _, eid in mod.pendant_map.values()})
 
 
 def solve_kfst_unweighted(

@@ -24,6 +24,8 @@ The subdivided graph is never built: subdivision nodes have degree two,
 so a simple cycle or path uses each subdivision chain all or nothing, and
 searching the original topology with integer edge weights equal to the
 chain lengths is equivalent and far smaller. Its size is still reported.
+``graph.reduce_series`` applies the same fold to the chains of Steiner
+nodes of degree two in the graph itself, before every core.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import search_min_cycle, steiner_cycle_exists
+from .cycles import min_steiner_cycle, steiner_cycle_exists
 from .errors import Infeasible
 from .graph import Graph, blocks_and_cuts, connected_components, exact_fraction
 from .solution import ProblemKind, Solution, SolveStats, run_stats
@@ -207,5 +209,5 @@ def weighted_steiner_cycle(
     stats = run_stats(stats, seed, eta)
     return solve_scaled(
         g, terminals, epsilon, ProblemKind.CYCLE, stats,
-        lambda folded, weights: search_min_cycle(folded, terminals, weights=weights)[1],
+        lambda folded, weights: min_steiner_cycle(folded, terminals, stats, weights).edges,
     )

@@ -52,6 +52,12 @@ ground covers the ground, and by lemma 0 every one is 2-node-connected on
 3. Grounds. By the same count, a ground with ``|ground| > incumbent`` is
    skipped whole.
 
+The solvers scan the series reduction of their graph (``_solve``), where an
+edge may stand for a chain of Steiner nodes of degree two. Lemmas 0-3 hold
+there as on any graph: every reduced edge weighs >= 1, and no cycle on two
+kept nodes stands for a longer one, so ``min_nodes=3`` still rejects
+exactly the cycles that are not 2-node-connected.
+
 The iteration counter counts every (S, partition, anchor vector) point
 exactly once, searched or counted in bulk. A ground's total depends only
 on its size and k (``enumeration.count_anchor_vectors``), so each ground
@@ -75,7 +81,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cycles import SearchPrep, _Record, search_min_cycle, search_min_path
+from .cycles import (
+    SearchPrep,
+    _perturbed,
+    _Record,
+    _reduced,
+    _weight_list,
+    search_min_cycle,
+    search_min_path,
+)
 from .enumeration import count_anchor_vectors, ordered_partitions, subsets_up_to
 from .errors import Infeasible, NoCycle, NoPath
 from .graph import Graph
@@ -109,16 +123,22 @@ class _Subcalls:
     and part containers; all of them share one ``SearchPrep`` of the
     search kernel's tables, perturbed weights included. A cycle or path
     result is the kernel's record ``(perturbed sum, edges, node mask)``,
-    kept as it comes, or None."""
+    kept as it comes, or None. The perturbed weights are ``p``, by default
+    ``_perturbed`` of the weights, and ``shift`` is their width, by default
+    g.m: a sum s weighs ``-(-s >> shift)``."""
 
     def __init__(
         self,
         g: Graph,
-        weights: dict[int, int] | None,
+        weights,
         stats: SolveStats,
+        p: list[int] | None = None,
+        shift: int | None = None,
     ):
         self.g = g
-        self.prep = SearchPrep(g, weights)
+        w = _weight_list(g, weights)
+        self.prep = SearchPrep(g, w, _perturbed(w) if p is None else p)
+        self.shift = g.m if shift is None else shift
         self.stats = stats
         self.cycles: dict[frozenset[int], _Record | None] = {}
         self.paths: dict[tuple[frozenset[int], int, int], _Record | None] = {}
@@ -194,7 +214,7 @@ def _solve_core(
     if not prefix_feasible(g, terms, ProblemKind.TWO_NCS, list(g.edge_ids())):
         raise Infeasible("terminals do not lie in a common 2-node-connected block")
 
-    p, shift = calls.prep.p, g.m
+    p, shift = calls.prep.p, calls.shift
     incumbent = _Incumbent(shift)
     term_set = set(terms)
     bound = max(2 * k - 4, 0)
@@ -268,6 +288,19 @@ def _solve_core(
     return incumbent.weight, incumbent.edges
 
 
+def _solve(g: Graph, terminals, weights, stats: SolveStats) -> frozenset[int]:
+    """The scan on g's series reduction under the weights (``_weight_list``),
+    its answer in g's edge ids. A Steiner node of degree 2 lies in a
+    2-node-connected subgraph with both of its edges or not at all, and one
+    of degree <= 1 in none."""
+    terms = sorted(set(terminals))
+    if not all(0 <= t < g.n for t in terms):
+        raise Infeasible("terminals do not lie in a common 2-node-connected block")
+    w = _weight_list(g, weights)
+    h, hw, hp, terms, expand = _reduced(g, terms, w, _perturbed(w), stats)
+    return expand(_solve_core(_Subcalls(h, hw, stats, hp, g.m), terms, stats)[1])
+
+
 def solve_2ncs_unweighted(
     g: Graph,
     terminals,
@@ -284,7 +317,7 @@ def solve_2ncs_unweighted(
     of at least three nodes.
     """
     stats = run_stats(stats, seed, eta, threads)
-    _, edges = _solve_core(_Subcalls(g, None, stats), terminals, stats)
+    edges = _solve(g, terminals, None, stats)
     return Solution(edges=edges, cost=g.total_cost(edges))
 
 
@@ -306,7 +339,5 @@ def solve_2ncs_weighted(
     stats = run_stats(stats, seed, eta, threads)
     return solve_scaled(
         g, terminals, epsilon, ProblemKind.TWO_NCS, stats,
-        lambda folded, weights: _solve_core(
-            _Subcalls(folded, weights, stats), terminals, stats
-        )[1],
+        lambda folded, weights: _solve(folded, terminals, weights, stats),
     )

@@ -281,7 +281,7 @@ class TestKernelRecord:
         rng = random.Random(8000 + seed)
         g, weights = weighted_multigraph(rng)
         shapes = brute_force_shapes(g, weights)
-        prep = SearchPrep(g, weights)
+        prep = perturbed_prep(g, weights)
         for min_nodes in (2, 3):
             for r in (1, 2, 3):
                 for terms in itertools.combinations(range(g.n), r):
@@ -313,6 +313,13 @@ def chorded_multigraph(rng, unit):
     return g, {eid: 1 if unit else rng.randint(1, 4) for eid in g.edge_ids()}
 
 
+def perturbed_prep(g, weights):
+    """The kernel's tables for g and the weights, ranking closings by
+    their ``_perturbed`` sums as the solvers' preps do."""
+    w = [weights[e] for e in g.edge_ids()]
+    return SearchPrep(g, w, cycles._perturbed(w))
+
+
 def bit(nodes):
     return sum(1 << v for v in nodes)
 
@@ -332,10 +339,10 @@ class TestDistanceBound:
             queries.append((terms[0], terms[0], bit(terms), min_nodes))
             s, t = rng.sample(range(g.n), 2)
             queries.append((s, t, bit(rng.sample(range(g.n), rng.randrange(0, 4))), 0))
-        bounded = SearchPrep(g, weights)
+        bounded = perturbed_prep(g, weights)
         got = [cycles._search(bounded, *q) for q in queries]
         monkeypatch.setattr(cycles, "_distance_row", lambda prep, src: [0] * g.n)
-        unbounded = SearchPrep(g, weights)
+        unbounded = perturbed_prep(g, weights)
         want = [cycles._search(unbounded, *q) for q in queries]
         assert got == want
         # the bound was in force on one side and absent on the other

@@ -25,6 +25,7 @@ from survsteiner import (
     oracle_feasible,
     oracle_min_subgraph,
     oracle_protected_all_pairs,
+    reduce_series,
     solve_2ecs,
     solve_kfst_unweighted,
     solve_kfst_weighted,
@@ -180,6 +181,11 @@ class TestProtectedPaths:
                     assert oracle_feasible(graph, found, [u, v], ProblemKind.KFST)
                     assert len(found) == ref[key].cost
                     assert min_protected_path(graph, u, v).edges == ref[key].edges
+        # the solver's table is that of the series-reduced pendant graph
+        terms = sorted(inst.terminals)
+        h, _, _, kept = reduce_series(g, terms, [1] * g.m)
+        reduced = FstInstance(h, frozenset(kept.index(t) for t in terms))
+        ref = oracle_protected_all_pairs(apply_pendant_gadget(reduced).graph)
         stats = SolveStats()
         solve_kfst_unweighted(inst, stats=stats)
         assert stats.subcalls["protected_pairs"] == len(ref)
@@ -466,9 +472,26 @@ class TestFourTerminals:
             assert sol.cost == ref.cost
             assert oracle_feasible(g, sol.edges, terms, kind)
 
+    def test_nine_node_draw(self):
+        # the third of six draws of perfbench's ring_chords(rng, 9, 13,
+        # False, 0.4) and four terminals with rng = random.Random(3). It ran
+        # past 90 s before the series reduction, which folds the chain
+        # 4-5-1-7-8 into one edge; on the six nodes left it takes about 0.3 s
+        g = Graph.build(9, [
+            (1, 5, 1, False), (5, 4, 1, True), (4, 3, 1, True), (3, 6, 1, False),
+            (6, 2, 1, True), (2, 0, 1, False), (0, 8, 1, True), (8, 7, 1, False),
+            (7, 1, 1, True), (4, 3, 1, True), (4, 0, 1, False), (8, 0, 1, True),
+            (6, 4, 1, True),
+        ])
+        terms = [0, 2, 6, 8]
+        sol = solve_kfst_unweighted(FstInstance(g, frozenset(terms)))
+        assert sol.edges == oracle_min_subgraph(g, terms, ProblemKind.KFST).edges
+        assert sol.edges == {4, 5, 6, 10, 12}
+
     def test_inner_scans_report_their_counters(self):
         # perfbench's ring_chords(random.Random(4), 6, 10, False, 0.4) and
-        # its terminals: nine parts are priced by the 2NCS scan
+        # its terminals: on the five nodes left once the series reduction
+        # contracts node 3, five parts are priced by the 2NCS scan
         g = Graph.build(6, [
             (3, 5, 1, True), (5, 4, 1, False), (4, 0, 1, False), (0, 2, 1, True),
             (2, 1, 1, False), (1, 3, 1, True), (0, 1, 1, True), (2, 5, 1, True),
@@ -476,7 +499,7 @@ class TestFourTerminals:
         ])
         stats = SolveStats()
         solve_kfst_unweighted(FstInstance(g, frozenset({1, 2, 4, 5})), stats=stats)
-        assert stats.subcalls["twonc_calls"] == 9
+        assert stats.subcalls["twonc_calls"] == 5
         assert stats.subcalls["path_calls"] > 0
         for name in ("ground_skips", "later_part_skips", "ear_prunes"):
             assert f"twonc_{name}" in stats.subcalls, name
@@ -569,10 +592,12 @@ class TestReferenceScan:
     the family bound loses no optimum. Mutations checked against, each
     failing a case: skipping a family whose bound equals the incumbent's
     weight (``>=``), the MST term without its ceiling (``>>``), and a part
-    term of max(3, |p|) + 1."""
+    term of max(3, |p|) + 1. The reference scans the graph as given, so
+    the solver runs without its series reduction (``unreduced``), which
+    ``tests/test_series.py`` checks on its own."""
 
     @pytest.mark.parametrize("k,ecs,weighted,seed", REFERENCE_CASES)
-    def test_matches_the_reference(self, k, ecs, weighted, seed):
+    def test_matches_the_reference(self, k, ecs, weighted, seed, unreduced):
         inst, weights = reference_case(k, ecs, weighted, seed)
         ref_stats, stats = SolveStats(), SolveStats()
         try:
